@@ -145,29 +145,14 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise ValueError("sweep.values must be nonempty")
     if not all(np.isfinite(v) and v > 0 for v in values):
         raise ValueError("sweep.values must be positive and finite")
-    cfg_in = dict(payload.get("config", {}))
-    entries = {
-        "alpha": str(cfg_in.get("alpha", "")),
-        "lambda": str(cfg_in.get("lambda", "")),
-        "M": str(grid_info["M"]),
-        "delta_xi": str(grid_info["delta_xi"]),
-    }
-    for key in ("backend", "solve_tolerance", "hermitian_projection", "riemann_normalize"):
-        if key in cfg_in:
-            entries[key] = str(cfg_in[key])
+    # Every config key goes to the config parser, which rejects unknown ones.
+    entries = {str(key): str(value) for key, value in payload.get("config", {}).items()}
+    entries.update(M=str(grid_info["M"]), delta_xi=str(grid_info["delta_xi"]))
     # Swept solver fields need no base value; pin a placeholder.
-    if axis == "alpha" and not entries["alpha"]:
-        entries["alpha"] = "1"
-    if axis == "lambda" and not entries["lambda"]:
-        entries["lambda"] = "1"
+    if axis in ("alpha", "lambda"):
+        entries.setdefault(axis, "1")
     if axis == "sigma":
         entries.setdefault("lambda", "1")
-        if not entries["lambda"]:
-            entries["lambda"] = "1"
-    if not entries["alpha"]:
-        raise ValueError("config missing required field 'alpha'")
-    if not entries["lambda"]:
-        raise ValueError("config missing required field 'lambda'")
     grid_params, config = io.config_from_entries(entries)
     eval_grid = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
     weight = payload.get("weight", WEIGHT_BRACKET)

@@ -87,14 +87,15 @@ class SpectralCoefficients:
                 raise ValueError(f"coefficients flagged hermitian but defect is {defect:.3e}")
 
     def hermitian_defect(self) -> float:
-        """Largest deviation from ``values[-J] == conj(values[J])``."""
-        perm = self.grid.negation_permutation()
-        return float(np.abs(self.values - np.conj(self.values[perm])).max(initial=0.0))
+        """Largest deviation from ``values[-J] == conj(values[J])``.
+
+        ``-J`` sits at the reversed flat index (see ``FrequencyGrid``).
+        """
+        return float(np.abs(self.values - np.conj(self.values[::-1])).max(initial=0.0))
 
     def hermitian_projected(self) -> "SpectralCoefficients":
         """Average each mode with the conjugate of its negated partner."""
-        perm = self.grid.negation_permutation()
-        sym = 0.5 * (self.values + np.conj(self.values[perm]))
+        sym = 0.5 * (self.values + np.conj(self.values[::-1]))
         return SpectralCoefficients(values=sym, grid=self.grid, hermitian=True)
 
 
@@ -106,8 +107,6 @@ class SolveConfig:
     lam: float
     backend: Backend = Backend.DUAL
     solve_tolerance: float = 1e-10
-    hermitian_projection: bool = True
-    riemann_normalize: bool = False
     memory_budget_mb: float = 4096.0
 
     def __post_init__(self):

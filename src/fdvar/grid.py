@@ -80,7 +80,9 @@ class FrequencyGrid:
         return (1.0 + self.squared_norms()) ** (alpha / 2.0)
 
     def negation_permutation(self) -> np.ndarray:
-        """Permutation mapping each flat index to the index of ``-J``."""
-        lat = self.lattice()
-        strides = self.axis_points ** np.arange(self.d - 1, -1, -1)
-        return ((self.M - lat) @ strides).astype(np.intp)
+        """Permutation mapping each flat index to the index of ``-J``.
+
+        Every axis ascends from ``-M`` to ``M``, so negation reverses the flat
+        order.
+        """
+        return np.arange(self.size - 1, -1, -1, dtype=np.intp)

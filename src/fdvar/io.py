@@ -25,8 +25,7 @@ _MODEL_FORMAT = "fdvar-model"
 _MODEL_VERSION = 1
 
 _REQUIRED_CONFIG = ("alpha", "lambda", "M", "delta_xi")
-_TRUE_WORDS = {"true", "yes", "on", "1"}
-_FALSE_WORDS = {"false", "no", "off", "0"}
+_OPTIONAL_CONFIG = ("backend", "solve_tolerance", "memory_budget_mb")
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +157,6 @@ def dataset_from_points(points) -> Dataset:
 # ---------------------------------------------------------------------------
 # config files (flat key = value namespace)
 # ---------------------------------------------------------------------------
-def _parse_bool(raw: str, field: str) -> bool:
-    word = raw.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ValueError(f"config field '{field}' must be a boolean, got {raw!r}")
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -184,7 +174,14 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
-    """Split a flat config namespace into grid parameters and solver settings."""
+    """Split a flat config namespace into grid parameters and solver settings.
+
+    A key that names no field is an error, so a misspelt setting cannot fall
+    back to its default unnoticed.
+    """
+    unknown = sorted(set(entries) - set(_REQUIRED_CONFIG) - set(_OPTIONAL_CONFIG))
+    if unknown:
+        raise ValueError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
     for field in _REQUIRED_CONFIG:
         if field not in entries:
             raise ValueError(f"config missing required field '{field}'")
@@ -214,16 +211,6 @@ def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
         solve_tolerance=(
             number("solve_tolerance") if "solve_tolerance" in entries else 1e-10
         ),
-        hermitian_projection=(
-            _parse_bool(entries["hermitian_projection"], "hermitian_projection")
-            if "hermitian_projection" in entries
-            else True
-        ),
-        riemann_normalize=(
-            _parse_bool(entries["riemann_normalize"], "riemann_normalize")
-            if "riemann_normalize" in entries
-            else False
-        ),
         memory_budget_mb=(
             number("memory_budget_mb") if "memory_budget_mb" in entries else 4096.0
         ),
@@ -250,8 +237,6 @@ def model_to_dict(model: FittedModel) -> dict:
             "lambda": model.config.lam,
             "backend": model.config.backend.value,
             "solve_tolerance": model.config.solve_tolerance,
-            "hermitian_projection": model.config.hermitian_projection,
-            "riemann_normalize": model.config.riemann_normalize,
             "memory_budget_mb": model.config.memory_budget_mb,
         },
         "dataset_hash": model.dataset_hash,
@@ -270,14 +255,14 @@ def model_from_dict(payload: dict) -> FittedModel:
     grid = FrequencyGrid(
         d=int(grid_info["d"]), M=int(grid_info["M"]), delta_xi=float(grid_info["delta_xi"])
     )
+    # Version-1 files may also carry hermitian_projection and
+    # riemann_normalize, which no SolveConfig field reads; they still load.
     cfg = payload["config"]
     config = SolveConfig(
         alpha=float(cfg["alpha"]),
         lam=float(cfg["lambda"]),
         backend=Backend(cfg["backend"]),
         solve_tolerance=float(cfg["solve_tolerance"]),
-        hermitian_projection=bool(cfg["hermitian_projection"]),
-        riemann_normalize=bool(cfg["riemann_normalize"]),
         memory_budget_mb=float(cfg["memory_budget_mb"]),
     )
     pairs = np.asarray(payload["coefficients"], dtype=float)

@@ -22,13 +22,10 @@ from .core import (
     FittedModel,
     SolveConfig,
     SpectralCoefficients,
-    point_evaluations,
     sobolev_objective,
 )
 from .errors import CapacityError, SolverError
 from .grid import FrequencyGrid
-
-_COMPLEX_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -72,14 +69,29 @@ class AssembledSystem:
         return np.sqrt(self.lam * self.weights)
 
 
+def _fit_bytes(n: int, G: int, d: int, backend: Backend) -> int:
+    """Upper bound on the bytes one ``fit`` holds at its peak.
+
+    Counted in 8-byte words: the n-by-G complex arrays alive at once (two --
+    assembly's phases and their exponentials, or the matrix and the dual's
+    conjugated copy -- and four for svd), three G-by-d lattice arrays, twelve
+    G-length work vectors (weights, coefficients, projection, gradient
+    check), the n-by-n kernel and its factor, 1 MiB of small objects, and for
+    the direct backend the G-by-G normal matrix and its Cholesky factor.
+    """
+    copies = 4 if backend is Backend.SVD else 2
+    words = 2 * copies * n * G + G * (3 * d + 12) + 4 * n * n + 2**17
+    if backend is Backend.DIRECT:
+        words += 4 * G * G
+    return 8 * words
+
+
 def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> AssembledSystem:
     """Build the evaluation matrix and penalty weights for a dataset."""
     if data.d != grid.d:
         raise ValueError(f"dataset dimension {data.d} does not match grid dimension {grid.d}")
     G = grid.size
-    need = 3 * _COMPLEX_BYTES * data.n * G
-    if config.backend is Backend.DIRECT:
-        need += _COMPLEX_BYTES * G * G
+    need = _fit_bytes(data.n, G, grid.d, config.backend)
     budget = config.memory_budget_mb * 2**20
     if need > budget:
         raise CapacityError(
@@ -97,9 +109,10 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
 
 
 def _check_normal_residual(system: AssembledSystem, phi: np.ndarray, tolerance: float) -> None:
+    # A^H v is taken as conj(conj(v) @ A), so no copy of A^H is formed.
     misfit = system.matrix @ phi - system.rhs
-    gradient = system.matrix.conj().T @ misfit + system.lam * system.weights * phi
-    reference = float(np.linalg.norm(system.matrix.conj().T @ system.rhs))
+    gradient = np.conj(np.conj(misfit) @ system.matrix) + system.lam * system.weights * phi
+    reference = float(np.linalg.norm(system.rhs @ system.matrix))
     if float(np.linalg.norm(gradient)) > tolerance * max(reference, 1e-300):
         raise SolverError(
             f"normal-equation residual {np.linalg.norm(gradient):.3e} exceeds "
@@ -127,29 +140,43 @@ def solve_direct(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarra
 
 
 def solve_dual(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
-    """Solve through the n-by-n kernel ``A W^-1 A^H + lam I``.
+    """Solve through the real n-by-n kernel ``Re(A W^-1 A^H) + lam I``.
 
     Algebraically identical to the direct route but touches only O(n*G)
-    memory.  With ``lam = 0`` the kernel pseudo-inverse is used, giving the
-    minimum-weighted-norm interpolant; the gradient check is skipped there
-    because the penalty-form optimality condition no longer applies.
+    memory.  With real labels the kernel
+    ``K[k, l] = sum_J w_J^-1 cos(2*pi*delta_xi*J.(x_k - x_l))`` is real, so
+    the dual variable ``mu`` is real and ``phi = W^-1 A^H mu`` is Hermitian
+    up to rounding.  With ``lam > 0`` the kernel is Cholesky-factored and the
+    normal-equation gradient must meet ``tolerance``.  With ``lam = 0`` the
+    kernel pseudo-inverse gives the minimum-weighted-norm interpolant, which
+    must meet ``||A phi - b|| <= tolerance * ||b||``; near-duplicate points
+    make the kernel near-singular and fail that check with ``SolverError``.
     """
     inv_w = 1.0 / system.weights
-    scaled = system.matrix * inv_w[None, :]
-    kernel = scaled @ system.matrix.conj().T
-    kernel = 0.5 * (kernel + kernel.conj().T)
+    scaled = np.conj(system.matrix)
+    scaled *= inv_w
+    kernel = (scaled @ system.matrix.T).real
+    del scaled
     kernel[np.diag_indices_from(kernel)] += system.lam
     if system.lam > 0:
         try:
             factor = scipy.linalg.cho_factor(kernel, check_finite=False)
-            mu = scipy.linalg.cho_solve(factor, system.rhs.astype(complex), check_finite=False)
+            mu = scipy.linalg.cho_solve(factor, system.rhs, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SolverError("dual kernel system singular to working precision") from exc
     else:
         mu = scipy.linalg.pinvh(kernel) @ system.rhs
-    phi = inv_w * (system.matrix.conj().T @ mu)
+    phi = inv_w * np.conj(mu @ system.matrix)
     if system.lam > 0:
         _check_normal_residual(system, phi, tolerance)
+    else:
+        misfit = float(np.linalg.norm(system.matrix @ phi - system.rhs))
+        limit = tolerance * float(np.linalg.norm(system.rhs))
+        if misfit > limit:
+            raise SolverError(
+                f"interpolation residual {misfit:.3e} exceeds "
+                f"{tolerance:.1e} * ||b|| = {limit:.3e}"
+            )
     return phi
 
 
@@ -179,24 +206,21 @@ _BACKENDS = {
 def fit(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> FittedModel:
     """Assemble, solve with the configured backend, and package the result.
 
-    When hermitian projection is enabled each mode is averaged with the
-    conjugate of its negated partner, which removes the numerical drift off
-    the real-reconstruction manifold.  Residuals are recomputed from the
-    returned coefficients, not taken from the solver.
+    Every backend's output is projected onto Hermitian coefficients (each
+    mode averaged with the conjugate of its negated partner), so the
+    reconstruction is real; on the dual path this only removes rounding.
+    Residuals ``|A phi - Y|`` are taken for the projected coefficients with
+    the matrix that assembly formed, not taken from the solver.
     """
     from .io import dataset_hash
 
     system = assemble(grid, data, config)
     phi = _BACKENDS[config.backend](system, tolerance=config.solve_tolerance)
-    coeffs = SpectralCoefficients(values=phi, grid=grid)
-    if config.hermitian_projection:
-        coeffs = coeffs.hermitian_projected()
-    predictions = point_evaluations(coeffs, data.X)
-    residuals = np.abs(predictions - data.Y)
+    coeffs = SpectralCoefficients(values=phi, grid=grid).hermitian_projected()
     return FittedModel(
         coefficients=coeffs,
         config=config,
         dataset_hash=dataset_hash(data),
-        objective=sobolev_objective(coeffs, config.alpha, config.riemann_normalize),
-        residuals=residuals,
+        objective=sobolev_objective(coeffs, config.alpha),
+        residuals=np.abs(system.matrix @ coeffs.values - data.Y),
     )

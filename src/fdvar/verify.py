@@ -24,8 +24,8 @@ from .grid import FrequencyGrid
 from .solver import AssembledSystem, fit, solve_direct, solve_dual, solve_svd
 from .subcritical import decay_sweep
 
-_TWO_POINT_DATA = Dataset(X=[[-0.5], [0.5]], Y=[0.9, 0.9])
-_PLANE_DATA = Dataset(
+TWO_POINT_DATA = Dataset(X=[[-0.5], [0.5]], Y=[0.9, 0.9])
+PLANE_DATA = Dataset(
     X=[[-1.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [1.5, 0.5]],
     Y=[1.0, 0.9, 0.9, 1.0],
 )
@@ -72,10 +72,11 @@ def backend_spread(system: AssembledSystem) -> float:
     return worst
 
 
-def _two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
+def two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
+    """Dual-backend fit of ``TWO_POINT_DATA`` on a ``delta_xi = 0.1`` grid of band limit ``m``."""
     grid = FrequencyGrid(d=1, M=m, delta_xi=0.1)
     config = SolveConfig(alpha=alpha, lam=lam, backend=Backend.DUAL)
-    return fit(grid, _TWO_POINT_DATA, config)
+    return fit(grid, TWO_POINT_DATA, config)
 
 
 def _check_closed_form(ctx: dict) -> tuple[bool, str]:
@@ -117,27 +118,27 @@ def _check_backend_agreement(ctx: dict) -> tuple[bool, str]:
 
 def _check_band_limit_overlap(ctx: dict) -> tuple[bool, str]:
     xs = np.linspace(-1.0, 1.0, 801)
-    coarse = _two_point_model(100).evaluate(xs).real
-    fine = _two_point_model(400).evaluate(xs).real
+    coarse = two_point_model(100).evaluate(xs).real
+    fine = two_point_model(400).evaluate(xs).real
     sup = float(np.max(np.abs(coarse - fine)))
-    resid = float(np.max(_two_point_model(400).residuals))
+    resid = float(np.max(two_point_model(400).residuals))
     ok = sup < 0.02 and resid <= 0.05
     return ok, f"sup_diff={sup:.3e} (tol 2e-02), data_resid={resid:.3e} (tol 5e-02)"
 
 
 def _check_subcritical_spike(ctx: dict) -> tuple[bool, str]:
-    model = _two_point_model(400, alpha=0.5)
+    model = two_point_model(400, alpha=0.5)
     xs = np.linspace(-1.0, 1.0, 801)
     values = model.evaluate(xs).real
-    away = np.min(np.abs(xs[:, None] - _TWO_POINT_DATA.X.ravel()[None, :]), axis=1) > 0.2
+    away = np.min(np.abs(xs[:, None] - TWO_POINT_DATA.X.ravel()[None, :]), axis=1) > 0.2
     off = float(np.max(np.abs(values[away])))
-    peak = float(np.max(np.abs(model.evaluate(_TWO_POINT_DATA.X).real)))
+    peak = float(np.max(np.abs(model.evaluate(TWO_POINT_DATA.X).real)))
     ok = off < 0.05 and peak > 0.5
     return ok, f"off_support={off:.3e} (<5e-02), peak={peak:.3f} (>0.5)"
 
 
 def _check_construction_decay(ctx: dict) -> tuple[bool, str]:
-    sweep = decay_sweep(_PLANE_DATA, 1.0, [0.1, 0.05, 0.025], weight=WEIGHT_HOMOGENEOUS)
+    sweep = decay_sweep(PLANE_DATA, 1.0, [0.1, 0.05, 0.025], weight=WEIGHT_HOMOGENEOUS)
     slope_ok = abs(sweep.fitted_slope - 1.0) <= 0.1
     margins_ok = bool(np.all(sweep.margins > 0))
     decreasing = bool(np.all(np.diff(sweep.norms) < 0))
@@ -149,8 +150,8 @@ def _check_construction_decay(ctx: dict) -> tuple[bool, str]:
 
 
 def _check_penalty_relaxation(ctx: dict) -> tuple[bool, str]:
-    tight = float(np.max(_two_point_model(200, lam=1e-4).residuals))
-    loose = float(np.max(_two_point_model(200, lam=1.0).residuals))
+    tight = float(np.max(two_point_model(200, lam=1e-4).residuals))
+    loose = float(np.max(two_point_model(200, lam=1.0).residuals))
     ok = tight < loose / 10.0
     return ok, f"resid(1e-4)={tight:.3e} < resid(1)/10={loose / 10.0:.3e}"
 

@@ -11,13 +11,8 @@ import pytest
 
 import fdvar.closed_form as closed_form
 from fdvar import (
-    Backend,
-    Dataset,
-    FrequencyGrid,
-    SolveConfig,
     critical_constant,
     decay_sweep,
-    fit,
     gaussian_radial_moment,
     gaussian_radial_moment_exact,
     gaussian_sobolev_norm,
@@ -27,23 +22,18 @@ from fdvar import (
     trichotomy_sweep,
 )
 from fdvar.critical import WEIGHT_HOMOGENEOUS
-from fdvar.verify import backend_spread, random_small_system
-
-TWO_POINT_DATA = Dataset(X=[[-0.5], [0.5]], Y=[0.9, 0.9])
-PLANE_DATA = Dataset(
-    X=[[-1.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [1.5, 0.5]],
-    Y=[1.0, 0.9, 0.9, 1.0],
+from fdvar.verify import (
+    PLANE_DATA,
+    TWO_POINT_DATA,
+    backend_spread,
+    random_small_system,
+    two_point_model,
 )
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
-    grid = FrequencyGrid(d=1, M=m, delta_xi=0.1)
-    return fit(grid, TWO_POINT_DATA, SolveConfig(alpha=alpha, lam=lam, backend=Backend.DUAL))
 
 
 def criterion5_systems():

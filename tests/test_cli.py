@@ -62,6 +62,13 @@ def test_fit_missing_alpha_named(workspace, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_fit_unknown_config_key_exits_2(workspace, capsys):
+    (workspace / "config.txt").write_text(CONFIG + "bakend = svd\n", encoding="utf-8")
+    assert run_fit(workspace) == 2
+    assert "bakend" in capsys.readouterr().err
+    assert not (workspace / "model.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -166,6 +173,12 @@ def test_sweep_manifest_complete_and_deterministic(tmp_path):
 def test_sweep_empty_values_exit_2(tmp_path, capsys):
     spec = sweep_spec(tmp_path, sweep={"axis": "alpha", "values": []})
     assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 2
+
+
+def test_sweep_unknown_config_key_exit_2(tmp_path, capsys):
+    spec = sweep_spec(tmp_path, config={"lambda": 1, "bakend": "svd"})
+    assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 2
+    assert "bakend" in capsys.readouterr().err
 
 
 def test_sweep_sigma_axis_runs_decay(tmp_path):

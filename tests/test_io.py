@@ -78,7 +78,6 @@ lambda = 0.5
 M = 100
 delta_xi = 0.1
 backend = svd
-hermitian_projection = true
 """
 
 
@@ -87,7 +86,6 @@ def test_config_parse(tmp_path):
     assert grid_params == {"M": 100, "delta_xi": 0.1}
     assert config.alpha == 4.0 and config.lam == 0.5
     assert config.backend is Backend.SVD
-    assert config.hermitian_projection is True
 
 
 @pytest.mark.parametrize("missing", ["alpha", "lambda", "M", "delta_xi"])
@@ -106,6 +104,14 @@ def test_config_bad_values(tmp_path):
         io.config_from_entries({"alpha": "1", "lambda": "1", "M": "2.5", "delta_xi": "0.1"})
     with pytest.raises(ValueError, match="not 'key = value'"):
         io.parse_config_text("alpha 4")
+
+
+@pytest.mark.parametrize("key", ["bakend", "hermitian_projection", "riemann_normalize"])
+def test_config_unknown_key_named(tmp_path, key):
+    # a misspelt or removed setting must not silently fall back to a default
+    path = write(tmp_path / "c.txt", CONFIG_TEXT + f"{key} = svd\n")
+    with pytest.raises(ValueError, match=key):
+        io.load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +136,18 @@ def test_model_roundtrip_bitstable(tmp_path):
     assert np.array_equal(loaded.residuals, model.residuals)
     io.save_model(loaded, str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_model_loader_ignores_removed_config_keys(tmp_path):
+    # version-1 files written before the two flags were dropped still load
+    model = make_model()
+    payload = io.model_to_dict(model)
+    payload["config"].update(hermitian_projection=True, riemann_normalize=False)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded = io.load_model(str(path))
+    assert loaded.config == model.config
+    assert np.array_equal(loaded.coefficients.values, model.coefficients.values)
 
 
 def test_model_format_guard(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fdvar import (
     FrequencyGrid,
     SolveConfig,
     SolverError,
+    SpectralCoefficients,
     assemble,
     fit,
     point_evaluations,
@@ -17,6 +20,7 @@ from fdvar import (
     solve_dual,
     solve_svd,
 )
+from fdvar.solver import _fit_bytes
 from fdvar.verify import backend_spread, random_small_system
 
 ALL_SOLVERS = (solve_direct, solve_dual, solve_svd)
@@ -116,6 +120,32 @@ def test_dual_zero_lambda_interpolates():
     assert abs(system.matrix @ phi - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("gap", [1e-7, 0.1])
+def test_dual_zero_lambda_interpolation_contract(gap):
+    # near-duplicate points leave the kernel pseudo-inverse short of
+    # interpolating; that must raise, not return "ok"
+    grid = FrequencyGrid(d=1, M=400, delta_xi=0.1)
+    data = Dataset(X=[0.0, gap], Y=[0.9, 0.8])
+    config = SolveConfig(alpha=6.0, lam=0.0)
+    if gap < 1e-3:
+        with pytest.raises(SolverError, match=r"interpolation residual \S+ exceeds .* = \S+"):
+            fit(grid, data, config)
+    else:
+        assert np.max(fit(grid, data, config).residuals) <= 1e-12
+
+
+def test_dual_output_hermitian_before_projection():
+    # mu is real, so phi = W^-1 A^H mu needs no projection to be Hermitian
+    grid = FrequencyGrid(d=1, M=500, delta_xi=0.05)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, size=40)
+    data = Dataset(X=X, Y=np.sin(3 * X) + 0.1 * rng.normal(size=40))
+    system = assemble(grid, data, SolveConfig(alpha=3.0, lam=1e-2))
+    phi = solve_dual(system)
+    defect = SpectralCoefficients(values=phi, grid=grid).hermitian_defect()
+    assert defect <= 1e-14 * np.max(np.abs(phi))
+
+
 def test_zero_lambda_rejected_outside_dual():
     system = AssembledSystem(
         matrix=np.ones((1, 2)), weights=np.array([1.0, 4.0]), lam=0.0, rhs=np.array([1.0])
@@ -207,6 +237,35 @@ def test_fit_is_hermitian_and_residuals_recomputed():
     assert np.max(np.abs(predictions.imag)) <= 1e-10
     assert np.allclose(model.residuals, np.abs(predictions - data.Y))
     assert model.objective >= 0.0
+
+
+def test_fit_residuals_match_point_evaluations():
+    grid = FrequencyGrid(d=1, M=300, delta_xi=0.05)
+    rng = np.random.default_rng(29)
+    data = Dataset(X=rng.uniform(-2, 2, size=25), Y=rng.normal(size=25))
+    for backend in Backend:
+        model = fit(grid, data, SolveConfig(alpha=2.5, lam=1e-2, backend=backend))
+        expected = np.abs(point_evaluations(model.coefficients, data.X) - data.Y)
+        assert np.max(np.abs(model.residuals - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,d,m", [(1, 1, 20000), (1, 3, 30), (2, 2, 150), (30, 1, 2000), (3, 1, 600)]
+)
+def test_memory_estimate_bounds_traced_peak(n, d, m):
+    grid = FrequencyGrid(d=d, M=m, delta_xi=0.05)
+    rng = np.random.default_rng(n + d)
+    data = Dataset(X=rng.uniform(-1, 1, size=(n, d)), Y=rng.normal(size=n))
+    for backend in Backend:
+        if backend is Backend.DIRECT and grid.size > 1300:
+            continue
+        tracemalloc.start()
+        try:
+            fit(grid, data, SolveConfig(alpha=d + 2.0, lam=1e-2, backend=backend))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _fit_bytes(n, grid.size, d, backend), backend
 
 
 def test_fit_residual_shrinks_with_lambda():
