@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failures, 2 input/validation errors,
 3 solver or numerical errors.  All file outputs are UTF-8, written
 atomically, with shortest round-trip float formatting so identical inputs
-produce byte-identical artifacts.  ``FDVAR_THREADS`` caps sweep parallelism.
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,14 +28,6 @@ from .verify import run_verification
 
 _EVAL_IMAG_TOL = 1e-8
 _SWEEP_AXES = ("alpha", "M", "sigma", "lambda")
-
-
-def _threads() -> int:
-    raw = os.environ.get("FDVAR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"FDVAR_THREADS must be an integer, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +202,7 @@ def _cmd_sweep(args) -> int:
         payload = json.load(handle)
     spec = parse_experiment_spec(payload)
     os.makedirs(args.output_dir, exist_ok=True)
-    workers = _threads()
-    tasks = list(enumerate(spec.values))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(
-                pool.map(lambda iv: _run_sweep_point(spec, iv[1], args.output_dir, iv[0]), tasks)
-            )
-    else:
-        entries = [_run_sweep_point(spec, v, args.output_dir, i) for i, v in tasks]
+    entries = [_run_sweep_point(spec, v, args.output_dir, i) for i, v in enumerate(spec.values)]
     manifest = {"name": spec.name, "axis": spec.axis, "weight": spec.weight, "points": entries}
     io.write_json(os.path.join(args.output_dir, f"{spec.name}_manifest.json"), manifest)
     succeeded = sum(1 for e in entries if e["status"] == "ok")

@@ -123,19 +123,13 @@ class SolveConfig:
             raise ValueError("memory_budget_mb must be positive")
 
 
-def sobolev_objective(
-    coeffs: SpectralCoefficients, alpha: float, riemann_normalize: bool = False
-) -> float:
+def sobolev_objective(coeffs: SpectralCoefficients, alpha: float) -> float:
     """Weighted spectral energy ``sum_J (1 + ||J*dxi||^2)^(alpha/2) |phi_J|^2``.
 
-    The plain sum carries no mesh-volume factor; pass ``riemann_normalize``
-    to multiply by ``delta_xi^d`` for continuum-limit comparisons.
+    The plain sum carries no mesh-volume factor ``delta_xi^d``.
     """
     weights = coeffs.grid.sobolev_weights(alpha)
-    value = float(np.sum(weights * np.abs(coeffs.values) ** 2))
-    if riemann_normalize:
-        value *= coeffs.grid.delta_xi**coeffs.grid.d
-    return value
+    return float(np.sum(weights * np.abs(coeffs.values) ** 2))
 
 
 def _as_points(points, d: int) -> np.ndarray:
@@ -156,16 +150,14 @@ def point_evaluations(coeffs: SpectralCoefficients, points) -> np.ndarray:
 
     This is the linear map carrying a spectral vector to its reconstruction
     values at sample points; for hermitian coefficients the imaginary parts
-    are numerical noise.
+    are numerical noise.  The points go through ``FrequencyGrid.phases`` in
+    blocks of about two million phases, which bounds the memory.
     """
     pts = _as_points(points, coeffs.grid.d)
-    lat = coeffs.grid.lattice().astype(float)
     out = np.empty(pts.shape[0], dtype=complex)
-    block = max(1, int(2_000_000 // max(coeffs.grid.size, 1)))
+    block = max(1, 2_000_000 // coeffs.grid.size)
     for lo in range(0, pts.shape[0], block):
-        chunk = pts[lo : lo + block]
-        phases = np.exp(2j * np.pi * coeffs.grid.delta_xi * (chunk @ lat.T))
-        out[lo : lo + block] = phases @ coeffs.values
+        out[lo : lo + block] = coeffs.grid.phases(pts[lo : lo + block]) @ coeffs.values
     return out
 
 

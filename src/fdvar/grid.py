@@ -8,6 +8,7 @@ last index is ``(M, ..., M)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,13 +66,31 @@ class FrequencyGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def frequencies(self) -> np.ndarray:
-        return self.lattice() * self.delta_xi
-
     def squared_norms(self) -> np.ndarray:
         """``||J * delta_xi||^2`` for every lattice point, in flat order."""
-        lat = self.lattice()
-        return (lat.astype(float) ** 2).sum(axis=1) * self.delta_xi**2
+        axis = np.arange(-self.M, self.M + 1, dtype=float) ** 2
+        return functools.reduce(np.add.outer, [axis] * self.d).ravel() * self.delta_xi**2
+
+    def phases(self, points: np.ndarray) -> np.ndarray:
+        """``exp(2*pi*i*delta_xi*J.x)``, one row per point of the n-by-d ``points``.
+
+        Columns follow the flat order of ``J``.  Each row is the Kronecker
+        product of per-axis factors formed for ``j = 0..M`` and mirrored by
+        conjugation, so a point costs ``d*(M+1)`` exponentials and column
+        ``-J`` is exactly ``conj`` of column ``J``.
+        """
+        step = 2j * np.pi * self.delta_xi * np.arange(self.M + 1)
+        out = None
+        for x in np.asarray(points, dtype=float).T:
+            factor = np.empty((len(x), self.axis_points), dtype=complex)
+            np.exp(np.multiply.outer(x, step), out=factor[:, self.M :])
+            np.conj(factor[:, : self.M : -1], out=factor[:, : self.M])
+            # Starting from the first factor, not a column of ones, spares an
+            # n-by-size copy at d = 1.
+            if out is not None:
+                factor = (out[:, :, None] * factor[:, None, :]).reshape(len(x), -1)
+            out = factor
+        return out
 
     def sobolev_weights(self, alpha: float) -> np.ndarray:
         """Spectral weights ``(1 + ||J*delta_xi||^2)^(alpha/2)``."""

@@ -69,39 +69,38 @@ class AssembledSystem:
         return np.sqrt(self.lam * self.weights)
 
 
-def _fit_bytes(n: int, G: int, d: int, backend: Backend) -> int:
+def _fit_bytes(n: int, G: int, backend: Backend) -> int:
     """Upper bound on the bytes one ``fit`` holds at its peak.
 
     Counted in 8-byte words: the n-by-G complex arrays alive at once (two --
-    assembly's phases and their exponentials, or the matrix and the dual's
-    conjugated copy -- and four for svd), three G-by-d lattice arrays, twelve
-    G-length work vectors (weights, coefficients, projection, gradient
-    check), the n-by-n kernel and its factor, 1 MiB of small objects, and for
-    the direct backend the G-by-G normal matrix and its Cholesky factor.
+    the phases and the Kronecker product forming them, or the matrix and the
+    dual's conjugated copy -- and three for svd: the matrix, the whitened
+    copy and ``vh``), twelve G-length work vectors (weights, coefficients,
+    projection, gradient check), the n-by-n kernel and its factor, 1 MiB of
+    small objects, and for the direct backend the G-by-G normal matrix and
+    its Cholesky factor.
     """
-    copies = 4 if backend is Backend.SVD else 2
-    words = 2 * copies * n * G + G * (3 * d + 12) + 4 * n * n + 2**17
+    copies = 3 if backend is Backend.SVD else 2
+    words = 2 * copies * n * G + 12 * G + 4 * n * n + 2**17
     if backend is Backend.DIRECT:
         words += 4 * G * G
     return 8 * words
 
 
 def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> AssembledSystem:
-    """Build the evaluation matrix and penalty weights for a dataset."""
+    """Build the evaluation matrix ``grid.phases(X)`` and the penalty weights."""
     if data.d != grid.d:
         raise ValueError(f"dataset dimension {data.d} does not match grid dimension {grid.d}")
     G = grid.size
-    need = _fit_bytes(data.n, G, grid.d, config.backend)
+    need = _fit_bytes(data.n, G, config.backend)
     budget = config.memory_budget_mb * 2**20
     if need > budget:
         raise CapacityError(
             f"grid size G={G} needs about {need / 2**20:.0f} MiB "
             f"(budget {config.memory_budget_mb:.0f} MiB); raise memory_budget_mb or shrink M"
         )
-    lat = grid.lattice().astype(float)
-    matrix = np.exp(2j * np.pi * grid.delta_xi * (data.X @ lat.T))
     return AssembledSystem(
-        matrix=matrix,
+        matrix=grid.phases(data.X),
         weights=grid.sobolev_weights(config.alpha),
         lam=config.lam,
         rhs=data.Y,
@@ -191,7 +190,8 @@ def solve_svd(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SolverError("SVD of the whitened system did not converge") from exc
     shrink = s / (s**2 + 1.0)
-    phi = (vh.conj().T @ (shrink * (u.conj().T @ system.rhs))) / gamma
+    # V c is taken as conj(conj(c) @ vh), so no copy of vh^H is formed.
+    phi = np.conj(np.conj(shrink * (system.rhs @ np.conj(u))) @ vh) / gamma
     _check_normal_residual(system, phi, tolerance)
     return phi
 

@@ -171,15 +171,10 @@ def _pairwise_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> fl
     d = interp.data.d
     diffs = X[:, None, :] - X[None, :, :]
     distances = np.sqrt(np.sum(diffs * diffs, axis=2))
-    cache: dict[float, float] = {}
-    total = 0.0
-    for i in range(len(g)):
-        for k in range(len(g)):
-            key = round(float(distances[i, k]), 12)
-            if key not in cache:
-                cache[key] = _pair_term(d, alpha, interp.sigma, key, weight)
-            total += g[i] * g[k] * cache[key]
-    return float(total)
+    # One radial integral per distinct distance (to 12 decimals).
+    keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
+    terms = np.array([_pair_term(d, alpha, interp.sigma, float(key), weight) for key in keys])
+    return float(g @ terms[inverse].reshape(distances.shape) @ g)
 
 
 def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:

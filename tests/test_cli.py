@@ -195,16 +195,6 @@ def test_sweep_sigma_axis_runs_decay(tmp_path):
     assert len(lines) == 2
 
 
-def test_sweep_respects_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("FDVAR_THREADS", "2")
-    spec = sweep_spec(tmp_path)
-    assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 0
-    manifest = json.loads(
-        (tmp_path / "out" / "demo_manifest.json").read_text(encoding="utf-8")
-    )
-    assert len(manifest["points"]) == 2
-
-
 def test_sweep_bad_point_recorded_not_fatal(tmp_path):
     spec = sweep_spec(
         tmp_path,

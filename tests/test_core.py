@@ -103,14 +103,6 @@ def test_objective_examples():
     assert math.isclose(sobolev_objective(edges, 2.0), 4.0)
 
 
-def test_objective_riemann_normalization():
-    grid = FrequencyGrid(d=2, M=1, delta_xi=0.5)
-    coeffs = SpectralCoefficients(values=np.ones(grid.size), grid=grid)
-    plain = sobolev_objective(coeffs, 1.5)
-    scaled = sobolev_objective(coeffs, 1.5, riemann_normalize=True)
-    assert math.isclose(scaled, plain * 0.5**2)
-
-
 def test_objective_monotone_in_alpha():
     grid = FrequencyGrid(d=1, M=3, delta_xi=0.7)
     rng = np.random.default_rng(11)

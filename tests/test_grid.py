@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdvar import FrequencyGrid
 
@@ -48,6 +50,33 @@ def test_squared_norms_and_weights():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
     assert np.allclose(grid.squared_norms(), [1.0, 0.0, 1.0])
     assert np.allclose(grid.sobolev_weights(2.0), [2.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("d,m", [(1, 4), (2, 3), (3, 2)])
+def test_squared_norms_match_lattice(d, m):
+    grid = FrequencyGrid(d=d, M=m, delta_xi=0.37)
+    expected = np.sum((grid.lattice() * grid.delta_xi) ** 2, axis=1)
+    np.testing.assert_allclose(grid.squared_norms(), expected, rtol=1e-14, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 5),
+    delta_xi=st.floats(1e-3, 10.0),
+    scale=st.floats(1e-3, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phases_match_lattice_exponentials(d, m, delta_xi, scale, seed):
+    grid = FrequencyGrid(d=d, M=m, delta_xi=delta_xi)
+    X = np.random.default_rng(seed).uniform(-scale, scale, size=(4, d))
+    argument = 2 * np.pi * delta_xi * (X @ grid.lattice().T)
+    P = grid.phases(X)
+    assert P.shape == (4, grid.size)
+    error = np.max(np.abs(P - np.exp(1j * argument)))
+    assert error <= 1e-14 * (1 + np.max(np.abs(argument)))
+    # column -J is the reversed flat index and exactly conj of column J
+    assert np.array_equal(P[:, ::-1], np.conj(P))
 
 
 def test_validation():

@@ -265,7 +265,7 @@ def test_memory_estimate_bounds_traced_peak(n, d, m):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _fit_bytes(n, grid.size, d, backend), backend
+        assert peak <= _fit_bytes(n, grid.size, backend), backend
 
 
 def test_fit_residual_shrinks_with_lambda():
