@@ -10,7 +10,6 @@ exponent.
 
 from .closed_form import ClosedFormParams
 from .core import (
-    Backend,
     Dataset,
     FittedModel,
     SolveConfig,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssembledSystem",
-    "Backend",
     "CapacityError",
     "ClosedFormParams",
     "Dataset",

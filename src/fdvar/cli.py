@@ -67,8 +67,7 @@ def _cmd_fit(args) -> int:
     max_resid = float(np.max(model.residuals)) if model.residuals.size else 0.0
     print(
         f"objective={io.format_float(model.objective)} "
-        f"max_residual={io.format_float(max_resid)} "
-        f"backend={model.config.backend.value} wall_time_s={elapsed:.3f}"
+        f"max_residual={io.format_float(max_resid)} wall_time_s={elapsed:.3f}"
     )
     return 0
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -19,12 +18,6 @@ def japanese_bracket(xi) -> float:
     if not np.all(np.isfinite(xi)):
         raise ValueError("frequency must be finite")
     return float(np.sqrt(1.0 + np.sum(xi * xi)))
-
-
-class Backend(str, Enum):
-    DIRECT = "direct"
-    DUAL = "dual"
-    SVD = "svd"
 
 
 @dataclass(frozen=True)
@@ -101,11 +94,10 @@ class SpectralCoefficients:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver settings: Sobolev exponent, penalty weight, backend, tolerances."""
+    """Solver settings: Sobolev exponent, penalty weight, tolerance, memory budget."""
 
     alpha: float
     lam: float
-    backend: Backend = Backend.DUAL
     solve_tolerance: float = 1e-10
     memory_budget_mb: float = 4096.0
 
@@ -114,9 +106,6 @@ class SolveConfig:
             raise ValueError("alpha must be positive")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError("lambda must be nonnegative")
-        object.__setattr__(self, "backend", Backend(self.backend))
-        if self.lam == 0 and self.backend is not Backend.DUAL:
-            raise ValueError("lambda = 0 requires the dual backend (pseudo-inverse fallback)")
         if not (self.solve_tolerance > 0):
             raise ValueError("solve_tolerance must be positive")
         if not (self.memory_budget_mb > 0):

@@ -18,14 +18,14 @@ from typing import Any
 
 import numpy as np
 
-from .core import Backend, Dataset, FittedModel, SolveConfig, SpectralCoefficients
+from .core import Dataset, FittedModel, SolveConfig, SpectralCoefficients
 from .grid import FrequencyGrid
 
 _MODEL_FORMAT = "fdvar-model"
 _MODEL_VERSION = 1
 
 _REQUIRED_CONFIG = ("alpha", "lambda", "M", "delta_xi")
-_OPTIONAL_CONFIG = ("backend", "solve_tolerance", "memory_budget_mb")
+_OPTIONAL_CONFIG = ("solve_tolerance", "memory_budget_mb")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,8 @@ def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
     """Split a flat config namespace into grid parameters and solver settings.
 
     A key that names no field is an error, so a misspelt setting cannot fall
-    back to its default unnoticed.
+    back to its default unnoticed.  Optional keys that are absent take
+    ``SolveConfig``'s defaults.
     """
     unknown = sorted(set(entries) - set(_REQUIRED_CONFIG) - set(_OPTIONAL_CONFIG))
     if unknown:
@@ -197,23 +198,10 @@ def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
         raise ValueError("config field 'M' must be a positive integer")
     grid_params = {"M": int(m_value), "delta_xi": number("delta_xi")}
 
-    backend_raw = entries.get("backend", Backend.DUAL.value)
-    try:
-        backend = Backend(backend_raw.lower())
-    except ValueError as exc:
-        names = "|".join(b.value for b in Backend)
-        raise ValueError(f"config field 'backend' must be one of {names}") from exc
-
     config = SolveConfig(
         alpha=number("alpha"),
         lam=number("lambda"),
-        backend=backend,
-        solve_tolerance=(
-            number("solve_tolerance") if "solve_tolerance" in entries else 1e-10
-        ),
-        memory_budget_mb=(
-            number("memory_budget_mb") if "memory_budget_mb" in entries else 4096.0
-        ),
+        **{field: number(field) for field in _OPTIONAL_CONFIG if field in entries},
     )
     return grid_params, config
 
@@ -235,7 +223,6 @@ def model_to_dict(model: FittedModel) -> dict:
         "config": {
             "alpha": model.config.alpha,
             "lambda": model.config.lam,
-            "backend": model.config.backend.value,
             "solve_tolerance": model.config.solve_tolerance,
             "memory_budget_mb": model.config.memory_budget_mb,
         },
@@ -255,13 +242,12 @@ def model_from_dict(payload: dict) -> FittedModel:
     grid = FrequencyGrid(
         d=int(grid_info["d"]), M=int(grid_info["M"]), delta_xi=float(grid_info["delta_xi"])
     )
-    # Version-1 files may also carry hermitian_projection and
+    # Version-1 files may also carry backend, hermitian_projection and
     # riemann_normalize, which no SolveConfig field reads; they still load.
     cfg = payload["config"]
     config = SolveConfig(
         alpha=float(cfg["alpha"]),
         lam=float(cfg["lambda"]),
-        backend=Backend(cfg["backend"]),
         solve_tolerance=float(cfg["solve_tolerance"]),
         memory_budget_mb=float(cfg["memory_budget_mb"]),
     )

@@ -2,10 +2,11 @@
 
 The assembled problem is ``min ||A phi - b||^2 + lam * sum w_J |phi_J|^2``
 with ``A[k, J] = exp(2*pi*i*delta_xi*J.x_k)`` and Sobolev weights ``w_J``.
-Three algebraically equivalent backends are provided and cross-checked:
+``fit`` solves it one way: ``dual``, an n-by-n real kernel system (the
+representer form, the only O(n*G) route).  Two algebraically equivalent
+solvers stay as independent oracles for ``fdvar verify``'s agreement check:
 
 * ``direct``  -- Cholesky on the G-by-G normal equations,
-* ``dual``    -- an n-by-n kernel system (the only O(n*G) route),
 * ``svd``     -- SVD of the weight-whitened matrix with spectral shrinkage.
 """
 
@@ -17,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .core import (
-    Backend,
     Dataset,
     FittedModel,
     SolveConfig,
@@ -69,22 +69,16 @@ class AssembledSystem:
         return np.sqrt(self.lam * self.weights)
 
 
-def _fit_bytes(n: int, G: int, backend: Backend) -> int:
+def _fit_bytes(n: int, G: int) -> int:
     """Upper bound on the bytes one ``fit`` holds at its peak.
 
-    Counted in 8-byte words: the n-by-G complex arrays alive at once (two --
-    the phases and the Kronecker product forming them, or the matrix and the
-    dual's conjugated copy -- and three for svd: the matrix, the whitened
-    copy and ``vh``), twelve G-length work vectors (weights, coefficients,
-    projection, gradient check), the n-by-n kernel and its factor, 1 MiB of
-    small objects, and for the direct backend the G-by-G normal matrix and
-    its Cholesky factor.
+    Counted in 8-byte words: two n-by-G complex arrays alive at once (the
+    phases and the Kronecker product forming them, or the matrix and the
+    dual's conjugated copy), twelve G-length work vectors (weights,
+    coefficients, projection, gradient check), the n-by-n kernel and its
+    factor, and 1 MiB of small objects.
     """
-    copies = 3 if backend is Backend.SVD else 2
-    words = 2 * copies * n * G + 12 * G + 4 * n * n + 2**17
-    if backend is Backend.DIRECT:
-        words += 4 * G * G
-    return 8 * words
+    return 8 * (4 * n * G + 12 * G + 4 * n * n + 2**17)
 
 
 def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> AssembledSystem:
@@ -92,7 +86,7 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
     if data.d != grid.d:
         raise ValueError(f"dataset dimension {data.d} does not match grid dimension {grid.d}")
     G = grid.size
-    need = _fit_bytes(data.n, G, config.backend)
+    need = _fit_bytes(data.n, G)
     budget = config.memory_budget_mb * 2**20
     if need > budget:
         raise CapacityError(
@@ -150,6 +144,7 @@ def solve_dual(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
     kernel pseudo-inverse gives the minimum-weighted-norm interpolant, which
     must meet ``||A phi - b|| <= tolerance * ||b||``; near-duplicate points
     make the kernel near-singular and fail that check with ``SolverError``.
+    Either failure names the kernel's condition estimate, computed only then.
     """
     inv_w = 1.0 / system.weights
     scaled = np.conj(system.matrix)
@@ -162,7 +157,10 @@ def solve_dual(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
             factor = scipy.linalg.cho_factor(kernel, check_finite=False)
             mu = scipy.linalg.cho_solve(factor, system.rhs, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
-            raise SolverError("dual kernel system singular to working precision") from exc
+            raise SolverError(
+                "dual kernel system singular to working precision "
+                f"(condition estimate {np.linalg.cond(kernel):.3e})"
+            ) from exc
     else:
         mu = scipy.linalg.pinvh(kernel) @ system.rhs
     phi = inv_w * np.conj(mu @ system.matrix)
@@ -174,7 +172,8 @@ def solve_dual(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
         if misfit > limit:
             raise SolverError(
                 f"interpolation residual {misfit:.3e} exceeds "
-                f"{tolerance:.1e} * ||b|| = {limit:.3e}"
+                f"{tolerance:.1e} * ||b|| = {limit:.3e} "
+                f"(condition estimate {np.linalg.cond(kernel):.3e})"
             )
     return phi
 
@@ -196,26 +195,23 @@ def solve_svd(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
     return phi
 
 
-_BACKENDS = {
-    Backend.DIRECT: solve_direct,
-    Backend.DUAL: solve_dual,
-    Backend.SVD: solve_svd,
-}
+_BACKENDS = {"direct": solve_direct, "dual": solve_dual, "svd": solve_svd}
 
 
 def fit(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> FittedModel:
-    """Assemble, solve with the configured backend, and package the result.
+    """Assemble, solve through the dual kernel, and package the result.
 
-    Every backend's output is projected onto Hermitian coefficients (each
-    mode averaged with the conjugate of its negated partner), so the
-    reconstruction is real; on the dual path this only removes rounding.
+    The dual output is Hermitian up to rounding; an O(G) projection (each
+    mode averaged with the conjugate of its negated partner) removes that
+    rounding so the reconstruction is exactly real.  ``solve_dual`` does not
+    project, because it also solves systems whose columns are not a lattice.
     Residuals ``|A phi - Y|`` are taken for the projected coefficients with
     the matrix that assembly formed, not taken from the solver.
     """
     from .io import dataset_hash
 
     system = assemble(grid, data, config)
-    phi = _BACKENDS[config.backend](system, tolerance=config.solve_tolerance)
+    phi = solve_dual(system, tolerance=config.solve_tolerance)
     coeffs = SpectralCoefficients(values=phi, grid=grid).hermitian_projected()
     return FittedModel(
         coefficients=coeffs,

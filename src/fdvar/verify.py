@@ -7,12 +7,13 @@ tolerance are injectable so negative controls can prove the checks can fail.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import closed_form
-from .core import Backend, Dataset, SolveConfig
+from . import closed_form, solver
+from .core import Dataset, SolveConfig
 from .critical import (
     WEIGHT_HOMOGENEOUS,
     critical_constant,
@@ -21,7 +22,7 @@ from .critical import (
     gaussian_sobolev_norm,
 )
 from .grid import FrequencyGrid
-from .solver import AssembledSystem, fit, solve_direct, solve_dual, solve_svd
+from .solver import AssembledSystem, assemble, fit
 from .subcritical import decay_sweep
 
 TWO_POINT_DATA = Dataset(X=[[-0.5], [0.5]], Y=[0.9, 0.9])
@@ -40,8 +41,6 @@ class CheckResult:
 
 def random_small_system(rng: np.random.Generator) -> AssembledSystem:
     """A well-separated random instance small enough for all three backends."""
-    from .solver import assemble
-
     n = int(rng.integers(1, 6))
     d = int(rng.integers(1, 3))
     m = int(rng.integers(2, 9))
@@ -57,26 +56,23 @@ def random_small_system(rng: np.random.Generator) -> AssembledSystem:
             break
     data = Dataset(X=X, Y=rng.uniform(-2.0, 2.0, size=n))
     grid = FrequencyGrid(d=d, M=m, delta_xi=delta_xi)
-    config = SolveConfig(alpha=alpha, lam=lam, backend=Backend.DIRECT)
-    return assemble(grid, data, config)
+    return assemble(grid, data, SolveConfig(alpha=alpha, lam=lam))
 
 
 def backend_spread(system: AssembledSystem) -> float:
     """Largest pairwise relative difference between the three backends."""
-    solutions = [solve_direct(system), solve_dual(system), solve_svd(system)]
+    solutions = [solve(system) for solve in solver._BACKENDS.values()]
     worst = 0.0
-    for i in range(3):
-        for k in range(i + 1, 3):
-            scale = max(np.linalg.norm(solutions[i]), np.linalg.norm(solutions[k]), 1e-300)
-            worst = max(worst, float(np.linalg.norm(solutions[i] - solutions[k]) / scale))
+    for a, b in itertools.combinations(solutions, 2):
+        scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+        worst = max(worst, float(np.linalg.norm(a - b) / scale))
     return worst
 
 
 def two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
-    """Dual-backend fit of ``TWO_POINT_DATA`` on a ``delta_xi = 0.1`` grid of band limit ``m``."""
+    """Fit of ``TWO_POINT_DATA`` on a ``delta_xi = 0.1`` grid of band limit ``m``."""
     grid = FrequencyGrid(d=1, M=m, delta_xi=0.1)
-    config = SolveConfig(alpha=alpha, lam=lam, backend=Backend.DUAL)
-    return fit(grid, TWO_POINT_DATA, config)
+    return fit(grid, TWO_POINT_DATA, SolveConfig(alpha=alpha, lam=lam))
 
 
 def _check_closed_form(ctx: dict) -> tuple[bool, str]:
@@ -85,8 +81,8 @@ def _check_closed_form(ctx: dict) -> tuple[bool, str]:
     xs = np.linspace(-0.5, 0.5, 201)
     expected = closed_form.reconstruction(params, xs)
     worst = 0.0
-    for solver in (solve_direct, solve_dual, solve_svd):
-        got = closed_form.synthesize(solver(system), params.delta_xi, xs)
+    for solve in solver._BACKENDS.values():
+        got = closed_form.synthesize(solve(system), params.delta_xi, xs)
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst <= 1e-8, f"sup_err={worst:.3e} (tol 1e-08)"
 

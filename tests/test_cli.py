@@ -11,7 +11,6 @@ alpha = 4
 lambda = 1
 M = 50
 delta_xi = 0.1
-backend = dual
 """
 
 DATASET = "x,y\n0.0,2.0\n"
@@ -42,7 +41,8 @@ def run_fit(workspace, out="model.json"):
 def test_fit_writes_model_and_summary(workspace, capsys):
     assert run_fit(workspace) == 0
     out = capsys.readouterr().out
-    assert "objective=" in out and "backend=dual" in out and "wall_time_s=" in out
+    assert "objective=" in out and "wall_time_s=" in out
+    assert "backend=" not in out
     payload = json.loads((workspace / "model.json").read_text(encoding="utf-8"))
     assert payload["format"] == "fdvar-model"
     assert len(payload["coefficients"]) == 101
@@ -66,6 +66,18 @@ def test_fit_unknown_config_key_exits_2(workspace, capsys):
     (workspace / "config.txt").write_text(CONFIG + "bakend = svd\n", encoding="utf-8")
     assert run_fit(workspace) == 2
     assert "bakend" in capsys.readouterr().err
+    assert not (workspace / "model.json").exists()
+
+
+def test_fit_interpolation_failure_exits_3(workspace, capsys):
+    (workspace / "config.txt").write_text(
+        "alpha = 6\nlambda = 0\nM = 400\ndelta_xi = 0.1\n", encoding="utf-8"
+    )
+    (workspace / "points.csv").write_text("x,y\n0.0,0.9\n1e-7,0.8\n", encoding="utf-8")
+    assert run_fit(workspace) == 3
+    err = capsys.readouterr().err
+    assert "interpolation residual" in err and "||b|| =" in err
+    assert "condition estimate" in err
     assert not (workspace / "model.json").exists()
 
 

@@ -1,10 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fdvar import (
-    Backend,
     Dataset,
     FrequencyGrid,
     SolveConfig,
@@ -162,8 +162,6 @@ def test_solve_config_validation():
         SolveConfig(alpha=0.0, lam=1.0)
     with pytest.raises(ValueError):
         SolveConfig(alpha=1.0, lam=-1.0)
-    with pytest.raises(ValueError, match="dual"):
-        SolveConfig(alpha=1.0, lam=0.0, backend=Backend.DIRECT)
-    cfg = SolveConfig(alpha=1.0, lam=0.0, backend=Backend.DUAL)
-    assert cfg.backend is Backend.DUAL
-    assert SolveConfig(alpha=1.0, lam=1.0, backend="svd").backend is Backend.SVD
+    assert SolveConfig(alpha=1.0, lam=0.0).lam == 0.0
+    names = [f.name for f in fields(SolveConfig)]
+    assert names == ["alpha", "lam", "solve_tolerance", "memory_budget_mb"]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdvar import Backend, Dataset, FrequencyGrid, SolveConfig, fit
+from fdvar import Dataset, FrequencyGrid, SolveConfig, fit
 from fdvar import io
 
 
@@ -77,15 +77,13 @@ alpha = 4
 lambda = 0.5
 M = 100
 delta_xi = 0.1
-backend = svd
 """
 
 
 def test_config_parse(tmp_path):
     grid_params, config = io.load_config(write(tmp_path / "c.txt", CONFIG_TEXT))
     assert grid_params == {"M": 100, "delta_xi": 0.1}
-    assert config.alpha == 4.0 and config.lam == 0.5
-    assert config.backend is Backend.SVD
+    assert config == SolveConfig(alpha=4.0, lam=0.5)
 
 
 @pytest.mark.parametrize("missing", ["alpha", "lambda", "M", "delta_xi"])
@@ -96,17 +94,15 @@ def test_config_missing_field_named(tmp_path, missing):
 
 
 def test_config_bad_values(tmp_path):
-    with pytest.raises(ValueError, match="backend"):
-        io.config_from_entries(
-            {"alpha": "1", "lambda": "1", "M": "4", "delta_xi": "0.1", "backend": "qr"}
-        )
     with pytest.raises(ValueError, match="'M'"):
         io.config_from_entries({"alpha": "1", "lambda": "1", "M": "2.5", "delta_xi": "0.1"})
     with pytest.raises(ValueError, match="not 'key = value'"):
         io.parse_config_text("alpha 4")
 
 
-@pytest.mark.parametrize("key", ["bakend", "hermitian_projection", "riemann_normalize"])
+@pytest.mark.parametrize(
+    "key", ["bakend", "backend", "hermitian_projection", "riemann_normalize"]
+)
 def test_config_unknown_key_named(tmp_path, key):
     # a misspelt or removed setting must not silently fall back to a default
     path = write(tmp_path / "c.txt", CONFIG_TEXT + f"{key} = svd\n")
@@ -120,7 +116,7 @@ def test_config_unknown_key_named(tmp_path, key):
 def make_model():
     grid = FrequencyGrid(d=1, M=5, delta_xi=0.2)
     data = Dataset(X=[0.0, 0.4], Y=[1.0, -0.5])
-    return fit(grid, data, SolveConfig(alpha=2.5, lam=0.3, backend=Backend.DIRECT))
+    return fit(grid, data, SolveConfig(alpha=2.5, lam=0.3))
 
 
 def test_model_roundtrip_bitstable(tmp_path):
@@ -139,10 +135,10 @@ def test_model_roundtrip_bitstable(tmp_path):
 
 
 def test_model_loader_ignores_removed_config_keys(tmp_path):
-    # version-1 files written before the two flags were dropped still load
+    # version-1 files written before these settings were dropped still load
     model = make_model()
     payload = io.model_to_dict(model)
-    payload["config"].update(hermitian_projection=True, riemann_normalize=False)
+    payload["config"].update(backend="svd", hermitian_projection=True, riemann_normalize=False)
     path = tmp_path / "old.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     loaded = io.load_model(str(path))

@@ -6,7 +6,6 @@ import pytest
 import fdvar.closed_form as closed_form
 from fdvar import (
     AssembledSystem,
-    Backend,
     CapacityError,
     Dataset,
     FrequencyGrid,
@@ -35,7 +34,7 @@ def unit_system():
 # ---------------------------------------------------------------------------
 def test_assemble_zero_point_row_of_ones():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
-    config = SolveConfig(alpha=2.0, lam=1.0, backend=Backend.DIRECT)
+    config = SolveConfig(alpha=2.0, lam=1.0)
     system = assemble(grid, Dataset(X=[0.0], Y=[1.0]), config)
     assert np.allclose(system.matrix, [[1.0, 1.0, 1.0]])
     assert np.allclose(system.rhs, [1.0])
@@ -43,14 +42,14 @@ def test_assemble_zero_point_row_of_ones():
 
 def test_assemble_half_point_alternating_row():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
-    config = SolveConfig(alpha=2.0, lam=1.0, backend=Backend.DIRECT)
+    config = SolveConfig(alpha=2.0, lam=1.0)
     system = assemble(grid, Dataset(X=[0.5], Y=[1.0]), config)
     assert np.allclose(system.matrix, [[-1.0, 1.0, -1.0]])
 
 
 def test_assemble_gamma_entries():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
-    config = SolveConfig(alpha=2.0, lam=1.0, backend=Backend.DIRECT)
+    config = SolveConfig(alpha=2.0, lam=1.0)
     system = assemble(grid, Dataset(X=[0.0], Y=[1.0]), config)
     assert np.allclose(system.gamma_diag, [np.sqrt(2.0), 1.0, np.sqrt(2.0)])
     # entries at least sqrt(lambda), increasing with frequency magnitude
@@ -59,7 +58,7 @@ def test_assemble_gamma_entries():
 
 def test_assemble_unit_modulus_and_conjugate_symmetry():
     grid = FrequencyGrid(d=2, M=2, delta_xi=0.3)
-    config = SolveConfig(alpha=1.5, lam=0.5, backend=Backend.DIRECT)
+    config = SolveConfig(alpha=1.5, lam=0.5)
     x = np.array([[0.3, -0.8]])
     plus = assemble(grid, Dataset(X=x, Y=[1.0]), config)
     minus = assemble(grid, Dataset(X=-x, Y=[1.0]), config)
@@ -69,7 +68,7 @@ def test_assemble_unit_modulus_and_conjugate_symmetry():
 
 def test_assemble_deterministic():
     grid = FrequencyGrid(d=1, M=4, delta_xi=0.2)
-    config = SolveConfig(alpha=3.0, lam=1.0, backend=Backend.DUAL)
+    config = SolveConfig(alpha=3.0, lam=1.0)
     data = Dataset(X=[0.11, -0.42], Y=[1.0, -1.0])
     a = assemble(grid, data, config)
     b = assemble(grid, data, config)
@@ -79,7 +78,7 @@ def test_assemble_deterministic():
 
 def test_assemble_capacity_error_names_grid_size():
     grid = FrequencyGrid(d=2, M=8, delta_xi=0.1)
-    config = SolveConfig(alpha=1.0, lam=1.0, backend=Backend.DIRECT, memory_budget_mb=0.001)
+    config = SolveConfig(alpha=1.0, lam=1.0, memory_budget_mb=0.001)
     with pytest.raises(CapacityError, match=str(grid.size)):
         assemble(grid, Dataset(X=[[0.0, 0.0]], Y=[1.0]), config)
 
@@ -128,10 +127,22 @@ def test_dual_zero_lambda_interpolation_contract(gap):
     data = Dataset(X=[0.0, gap], Y=[0.9, 0.8])
     config = SolveConfig(alpha=6.0, lam=0.0)
     if gap < 1e-3:
-        with pytest.raises(SolverError, match=r"interpolation residual \S+ exceeds .* = \S+"):
+        with pytest.raises(
+            SolverError,
+            match=r"interpolation residual \S+ exceeds .* = \S+ \(condition estimate \S+\)",
+        ):
             fit(grid, data, config)
     else:
         assert np.max(fit(grid, data, config).residuals) <= 1e-12
+
+
+def test_dual_cholesky_failure_names_condition_estimate():
+    # points 1e-9 apart with a negligible penalty leave K + lambda I
+    # numerically indefinite; the error must say how ill-conditioned it is
+    grid = FrequencyGrid(d=1, M=400, delta_xi=0.1)
+    data = Dataset(X=[0.0, 1e-9], Y=[0.9, 0.8])
+    with pytest.raises(SolverError, match=r"singular .*\(condition estimate \S+\)"):
+        fit(grid, data, SolveConfig(alpha=6.0, lam=1e-20))
 
 
 def test_dual_output_hermitian_before_projection():
@@ -209,7 +220,7 @@ def test_representer_and_kkt_properties():
 def test_fit_zero_labels():
     grid = FrequencyGrid(d=1, M=3, delta_xi=0.5)
     data = Dataset(X=[0.2, -0.4], Y=[0.0, 0.0])
-    model = fit(grid, data, SolveConfig(alpha=2.0, lam=1.0, backend=Backend.DIRECT))
+    model = fit(grid, data, SolveConfig(alpha=2.0, lam=1.0))
     assert np.allclose(model.coefficients.values, 0.0)
     assert model.objective == 0.0
     assert np.allclose(model.residuals, 0.0)
@@ -220,11 +231,10 @@ def test_fit_single_point_full_lattice_closed_form():
     # derived by eliminating the single dual variable
     grid = FrequencyGrid(d=1, M=50, delta_xi=0.1)
     data = Dataset(X=[0.0], Y=[2.0])
-    for backend in Backend:
-        model = fit(grid, data, SolveConfig(alpha=4.0, lam=1.0, backend=backend))
-        w = grid.sobolev_weights(4.0)
-        expected = 2.0 / w / (np.sum(1.0 / w) + 1.0)
-        assert np.max(np.abs(model.coefficients.values - expected)) < 1e-12
+    model = fit(grid, data, SolveConfig(alpha=4.0, lam=1.0))
+    w = grid.sobolev_weights(4.0)
+    expected = 2.0 / w / (np.sum(1.0 / w) + 1.0)
+    assert np.max(np.abs(model.coefficients.values - expected)) < 1e-12
 
 
 def test_fit_is_hermitian_and_residuals_recomputed():
@@ -243,10 +253,9 @@ def test_fit_residuals_match_point_evaluations():
     grid = FrequencyGrid(d=1, M=300, delta_xi=0.05)
     rng = np.random.default_rng(29)
     data = Dataset(X=rng.uniform(-2, 2, size=25), Y=rng.normal(size=25))
-    for backend in Backend:
-        model = fit(grid, data, SolveConfig(alpha=2.5, lam=1e-2, backend=backend))
-        expected = np.abs(point_evaluations(model.coefficients, data.X) - data.Y)
-        assert np.max(np.abs(model.residuals - expected)) <= 1e-12
+    model = fit(grid, data, SolveConfig(alpha=2.5, lam=1e-2))
+    expected = np.abs(point_evaluations(model.coefficients, data.X) - data.Y)
+    assert np.max(np.abs(model.residuals - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -256,16 +265,13 @@ def test_memory_estimate_bounds_traced_peak(n, d, m):
     grid = FrequencyGrid(d=d, M=m, delta_xi=0.05)
     rng = np.random.default_rng(n + d)
     data = Dataset(X=rng.uniform(-1, 1, size=(n, d)), Y=rng.normal(size=n))
-    for backend in Backend:
-        if backend is Backend.DIRECT and grid.size > 1300:
-            continue
-        tracemalloc.start()
-        try:
-            fit(grid, data, SolveConfig(alpha=d + 2.0, lam=1e-2, backend=backend))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _fit_bytes(n, grid.size, backend), backend
+    tracemalloc.start()
+    try:
+        fit(grid, data, SolveConfig(alpha=d + 2.0, lam=1e-2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _fit_bytes(n, grid.size)
 
 
 def test_fit_residual_shrinks_with_lambda():
