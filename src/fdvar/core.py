@@ -140,11 +140,14 @@ def point_evaluations(coeffs: SpectralCoefficients, points) -> np.ndarray:
     This is the linear map carrying a spectral vector to its reconstruction
     values at sample points; for hermitian coefficients the imaginary parts
     are numerical noise.  The points go through ``FrequencyGrid.phases`` in
-    blocks of about two million phases, which bounds the memory.
+    blocks of about ``2**18`` phases (4 MiB), which bounds the memory.  A
+    block stays well below a fit's n-by-G matrix: glibc raises its mmap
+    threshold to the largest block freed, so a larger block would send later
+    matrices to the heap, whose peak varies from run to run with its layout.
     """
     pts = _as_points(points, coeffs.grid.d)
     out = np.empty(pts.shape[0], dtype=complex)
-    block = max(1, 2_000_000 // coeffs.grid.size)
+    block = max(1, 2**18 // coeffs.grid.size)
     for lo in range(0, pts.shape[0], block):
         out[lo : lo + block] = coeffs.grid.phases(pts[lo : lo + block]) @ coeffs.values
     return out
