@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -33,14 +34,29 @@ _SWEEP_AXES = ("alpha", "M", "sigma", "lambda")
 # ---------------------------------------------------------------------------
 # eval grids
 # ---------------------------------------------------------------------------
+def _checked_grid(lo: float, hi: float, count: int, spec) -> tuple[float, float, int]:
+    """An evaluation range needs finite ends, ``min <= max`` and at least one point."""
+    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"bad grid spec {spec!r}")
+    return lo, hi, count
+
+
 def _parse_grid_spec(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be MIN:MAX:COUNT, got {spec!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1 or hi < lo:
-        raise ValueError(f"bad grid spec {spec!r}")
-    return lo, hi, count
+    return _checked_grid(float(parts[0]), float(parts[1]), int(parts[2]), spec)
+
+
+def _parse_eval_grid(payload: dict) -> tuple[float, float, int]:
+    """The sweep's ``eval_grid`` block, under the rule of ``fdvar eval --grid``."""
+    spec = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
+    if not isinstance(spec, dict) or set(spec) != {"min", "max", "points"}:
+        raise ValueError(f"eval_grid needs exactly the keys min, max and points, got {spec!r}")
+    count = int(spec["points"])
+    if count != spec["points"]:
+        raise ValueError(f"eval_grid points must be an integer, got {spec['points']!r}")
+    return _checked_grid(float(spec["min"]), float(spec["max"]), count, spec)
 
 
 def _product_grid(specs: list[tuple[float, float, int]], d: int) -> np.ndarray:
@@ -144,7 +160,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     if axis == "sigma":
         entries.setdefault("lambda", "1")
     grid_params, config = io.config_from_entries(entries)
-    eval_grid = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
+    eval_min, eval_max, eval_points = _parse_eval_grid(payload)
     weight = payload.get("weight", WEIGHT_BRACKET)
     if weight not in (WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS):
         raise ValueError(f"weight must be '{WEIGHT_BRACKET}' or '{WEIGHT_HOMOGENEOUS}'")
@@ -156,9 +172,9 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         config=config,
         axis=axis,
         values=values,
-        eval_min=float(eval_grid["min"]),
-        eval_max=float(eval_grid["max"]),
-        eval_points=int(eval_grid["points"]),
+        eval_min=eval_min,
+        eval_max=eval_max,
+        eval_points=eval_points,
         weight=weight,
     )
 

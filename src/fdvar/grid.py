@@ -83,7 +83,9 @@ class FrequencyGrid:
         out = None
         for x in np.asarray(points, dtype=float).T:
             factor = np.empty((len(x), self.axis_points), dtype=complex)
-            np.exp(np.multiply.outer(x, step), out=factor[:, self.M :])
+            right = factor[:, self.M :]
+            np.multiply.outer(x, step, out=right)
+            np.exp(right, out=right)
             np.conj(factor[:, : self.M : -1], out=factor[:, : self.M])
             # Starting from the first factor, not a column of ones, spares an
             # n-by-size copy at d = 1.

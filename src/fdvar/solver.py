@@ -28,14 +28,30 @@ from .errors import CapacityError, SolverError
 from .grid import FrequencyGrid
 
 
+# Doubles in one block of the dual kernel's real factor (2 MiB).  Like the
+# blocks of ``core.point_evaluations`` it stays far below a fit's n-by-G
+# matrix: glibc raises its mmap threshold to the largest block freed, so a
+# larger block would send later matrices to the heap.
+_KERNEL_BLOCK = 2**18
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Evaluation matrix, Sobolev weights, penalty weight and right-hand side."""
+    """Evaluation matrix, Sobolev weights, penalty weight and right-hand side.
+
+    ``lattice`` marks a matrix whose columns are a symmetric lattice in flat
+    order, as ``assemble`` builds it: column ``G-1-j`` is the conjugate of
+    column ``j`` and the middle column is ``J = 0``.  The dual solver then
+    sums only half the columns.  The mark is trusted, not checked against
+    the matrix; a wrong one fails the solver's residual checks, which use
+    every column.
+    """
 
     matrix: np.ndarray
     weights: np.ndarray
     lam: float
     rhs: np.ndarray
+    lattice: bool = False
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -51,6 +67,12 @@ class AssembledSystem:
             raise ValueError("weights must be nonnegative")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+        if self.lattice and matrix.shape[1] % 2 == 0:
+            raise ValueError(
+                f"a lattice system needs an odd column count, got {matrix.shape[1]}"
+            )
+        if self.lattice and not np.array_equal(weights, weights[::-1]):
+            raise ValueError("a lattice system needs weights equal to their reversal")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rhs", rhs)
@@ -69,16 +91,27 @@ class AssembledSystem:
         return np.sqrt(self.lam * self.weights)
 
 
-def _fit_bytes(n: int, G: int) -> int:
-    """Upper bound on the bytes one ``fit`` holds at its peak.
+def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
+    """Upper bound on the bytes one ``fit`` on ``grid`` holds at its peak.
 
-    Counted in 8-byte words: two n-by-G complex arrays alive at once (the
-    phases and the Kronecker product forming them, or the matrix and the
-    dual's conjugated copy), twelve G-length work vectors (weights,
-    coefficients, projection, gradient check), the n-by-n kernel and its
-    factor, and 1 MiB of small objects.
+    Counted in 8-byte words: the n-by-G complex matrix; while it is formed,
+    the Kronecker factor of the leading axes, n-by-(G / axis points)
+    complex; one block of the dual kernel's real factor (``_KERNEL_BLOCK``
+    doubles, or n*(G+1) if that is fewer); nine G-length words at the
+    Hermitian projection, the worst stage (weights, coefficients and their
+    projection with its defect check); the n-by-n kernel, its rank-k update
+    and its factor, with an n-by-n spare; and 1 MiB of small objects.
     """
-    return 8 * (4 * n * G + 12 * G + 4 * n * n + 2**17)
+    G = grid.size
+    leading = G // grid.axis_points
+    return 8 * (
+        2 * n * G
+        + 2 * n * leading
+        + min(_KERNEL_BLOCK, n * (G + 1))
+        + 9 * G
+        + 4 * n * n
+        + 2**17
+    )
 
 
 def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> AssembledSystem:
@@ -86,7 +119,7 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
     if data.d != grid.d:
         raise ValueError(f"dataset dimension {data.d} does not match grid dimension {grid.d}")
     G = grid.size
-    need = _fit_bytes(data.n, G)
+    need = _fit_bytes(data.n, grid)
     budget = config.memory_budget_mb * 2**20
     if need > budget:
         raise CapacityError(
@@ -98,6 +131,7 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
         weights=grid.sobolev_weights(config.alpha),
         lam=config.lam,
         rhs=data.Y,
+        lattice=True,
     )
 
 
@@ -132,38 +166,79 @@ def solve_direct(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarra
     return phi
 
 
+def _dual_kernel(system: AssembledSystem, block: int = _KERNEL_BLOCK) -> np.ndarray:
+    """The real kernel ``Re(A W^-1 A^H)``, summed over column blocks.
+
+    With ``A = P + iQ`` the kernel is ``sum_J c_J (p_J p_J^T + q_J q_J^T)``
+    with ``c_J = w_J^-1``, so a block of g columns adds ``B B^T`` for the
+    real n-by-2g matrix ``B = [P_b, Q_b] * sqrt(c_b)`` of about ``block``
+    doubles, a symmetric rank-k update.  This holds for any complex ``A``.
+    A lattice system sums only the half ``0..(G-1)/2``: column ``-J`` is the
+    conjugate of column ``J`` and adds the same term, so ``c_J = 2 w_J^-1``
+    there and ``c_0 = w_0^-1`` at ``J = 0``.
+    """
+    n, G = system.matrix.shape
+    scale = 1.0 / system.weights
+    if system.lattice:
+        G = (G + 1) // 2
+        scale = 2.0 * scale[:G]
+        scale[-1] *= 0.5
+    np.sqrt(scale, out=scale)
+    width = max(1, block // (2 * n))
+    buffer = np.empty(2 * n * min(width, G))
+    kernel = np.zeros((n, n))
+    for lo in range(0, G, width):
+        hi = min(lo + width, G)
+        columns = system.matrix[:, lo:hi]
+        g = hi - lo
+        part = buffer[: 2 * n * g].reshape(n, 2 * g)
+        np.multiply(columns.real, scale[lo:hi], out=part[:, :g])
+        np.multiply(columns.imag, scale[lo:hi], out=part[:, g:])
+        kernel += part @ part.T
+    return kernel
+
+
 def solve_dual(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
     """Solve through the real n-by-n kernel ``Re(A W^-1 A^H) + lam I``.
 
     Algebraically identical to the direct route but touches only O(n*G)
     memory.  With real labels the kernel
     ``K[k, l] = sum_J w_J^-1 cos(2*pi*delta_xi*J.(x_k - x_l))`` is real, so
-    the dual variable ``mu`` is real and ``phi = W^-1 A^H mu`` is Hermitian
-    up to rounding.  With ``lam > 0`` the kernel is Cholesky-factored and the
-    normal-equation gradient must meet ``tolerance``.  With ``lam = 0`` the
-    kernel pseudo-inverse gives the minimum-weighted-norm interpolant, which
-    must meet ``||A phi - b|| <= tolerance * ||b||``; near-duplicate points
-    make the kernel near-singular and fail that check with ``SolverError``.
-    Either failure names the kernel's condition estimate, computed only then.
+    the dual variable ``mu`` is real and ``phi = W^-1 A^H mu`` is Hermitian.
+    The kernel is formed in real arithmetic by ``_dual_kernel``.  For a
+    lattice system ``phi`` is formed on the half lattice and mirrored by
+    conjugation, so it is exactly Hermitian.  With ``lam > 0`` the kernel is
+    Cholesky-factored and the normal-equation gradient must meet
+    ``tolerance``.  With ``lam = 0`` the kernel pseudo-inverse gives the
+    minimum-weighted-norm interpolant, which must meet
+    ``||A phi - b|| <= tolerance * ||b||``; near-duplicate points make the
+    kernel near-singular and fail that check with ``SolverError``.  Either
+    failure names the kernel's condition estimate, computed only then.
     """
-    inv_w = 1.0 / system.weights
-    scaled = np.conj(system.matrix)
-    scaled *= inv_w
-    kernel = (scaled @ system.matrix.T).real
-    del scaled
+    kernel = _dual_kernel(system)
     kernel[np.diag_indices_from(kernel)] += system.lam
     if system.lam > 0:
         try:
-            factor = scipy.linalg.cho_factor(kernel, check_finite=False)
-            mu = scipy.linalg.cho_solve(factor, system.rhs, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            # numpy's Cholesky runs on the BLAS that formed the kernel.  scipy
+            # links a second BLAS whose threads contend with numpy's spinning
+            # ones: on a 2-core machine an n = 200 factorization right after
+            # the kernel took up to 0.19 s instead of about 1 ms.
+            factor = np.linalg.cholesky(kernel)
+            mu = scipy.linalg.cho_solve((factor, True), system.rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:
             raise SolverError(
                 "dual kernel system singular to working precision "
                 f"(condition estimate {np.linalg.cond(kernel):.3e})"
             ) from exc
     else:
         mu = scipy.linalg.pinvh(kernel) @ system.rhs
-    phi = inv_w * np.conj(mu @ system.matrix)
+    if system.lattice:
+        half = (system.size + 1) // 2
+        phi = np.empty(system.size, dtype=complex)
+        phi[:half] = np.conj(mu @ system.matrix[:, :half]) / system.weights[:half]
+        phi[half:] = np.conj(phi[: half - 1][::-1])
+    else:
+        phi = np.conj(mu @ system.matrix) / system.weights
     if system.lam > 0:
         _check_normal_residual(system, phi, tolerance)
     else:
@@ -201,10 +276,11 @@ _BACKENDS = {"direct": solve_direct, "dual": solve_dual, "svd": solve_svd}
 def fit(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> FittedModel:
     """Assemble, solve through the dual kernel, and package the result.
 
-    The dual output is Hermitian up to rounding; an O(G) projection (each
-    mode averaged with the conjugate of its negated partner) removes that
-    rounding so the reconstruction is exactly real.  ``solve_dual`` does not
-    project, because it also solves systems whose columns are not a lattice.
+    The assembled system is a lattice, so the dual output is exactly
+    Hermitian and the reconstruction exactly real.  The O(G) projection
+    (each mode averaged with the conjugate of its negated partner) stays as
+    the one step that flags the coefficients Hermitian; on this output it
+    changes nothing.
     Residuals ``|A phi - Y|`` are taken for the projected coefficients with
     the matrix that assembly formed, not taken from the solver.
     """

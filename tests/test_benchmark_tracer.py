@@ -30,5 +30,13 @@ def test_tracer_records_fit_layers_and_restores_originals():
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"solver.fit", "solver.dual", "core.project"} <= names
+    # health read from the full matrix: the gradient check's ratio, and the
+    # defect before projection, exactly 0 for the mirrored half lattice
+    assert len(tracer.health["normal_residual_ratio"]) == 1
+    assert tracer.health["normal_residual_ratio"][0] <= 1e-10
+    assert tracer.health["hermitian_defect"] == [0.0]
+    # two points, G = 101: the tracer still sees the full n-by-G matrix
+    (counts,) = [span[5] for span in tracer.spans if span[0] == "solver.assemble"]
+    assert counts["exps"] == 2 * 101
     restored = (fdvar.solver.fit, fdvar.cli.fit, fdvar.solver._BACKENDS)
     assert all(now is before for now, before in zip(restored, originals))

@@ -116,6 +116,17 @@ def test_eval_rejects_non_hermitian_model(workspace, capsys):
     assert "imaginary residue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["-0.5:0.5:0", "0.5:-0.5:11", "-inf:0.5:11", "nan:0.5:3"])
+def test_eval_bad_grid_spec_exit_2(workspace, capsys, grid):
+    assert run_fit(workspace) == 0
+    code = main(
+        ["eval", str(workspace / "model.json"), f"--grid={grid}", "-o", str(workspace / "r.csv")]
+    )
+    assert code == 2
+    assert "bad grid spec" in capsys.readouterr().err
+    assert not (workspace / "r.csv").exists()
+
+
 def test_eval_2d_grid(workspace, tmp_path):
     (workspace / "plane.csv").write_text(
         "x1,x2,y\n0.0,0.0,1.0\n0.5,0.5,0.5\n", encoding="utf-8"
@@ -191,6 +202,27 @@ def test_sweep_unknown_config_key_exit_2(tmp_path, capsys):
     spec = sweep_spec(tmp_path, config={"lambda": 1, "bakend": "svd"})
     assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 2
     assert "bakend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "eval_grid,message",
+    [
+        ({"min": -0.5, "max": 0.5, "points": 0}, "bad grid spec"),
+        ({"min": -0.5, "max": 0.5, "points": -3}, "bad grid spec"),
+        ({"min": 0.5, "max": -0.5, "points": 11}, "bad grid spec"),
+        ({"min": -0.5, "max": 0.5, "points": 2.5}, "must be an integer"),
+        ({"min": -0.5, "max": 0.5, "pts": 11}, "'pts'"),
+        ({"min": -0.5, "max": 0.5}, "needs exactly the keys"),
+        ([-0.5, 0.5, 11], "needs exactly the keys"),
+    ],
+)
+def test_sweep_bad_eval_grid_exit_2(tmp_path, capsys, eval_grid, message):
+    # the same rule as `fdvar eval --grid`, checked before any point runs
+    spec = sweep_spec(tmp_path, eval_grid=eval_grid)
+    out = tmp_path / "out"
+    assert main(["sweep", spec, "-d", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_sigma_axis_runs_decay(tmp_path):

@@ -1,7 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdvar.closed_form as closed_form
 from fdvar import (
@@ -19,7 +22,7 @@ from fdvar import (
     solve_dual,
     solve_svd,
 )
-from fdvar.solver import _fit_bytes
+from fdvar.solver import _KERNEL_BLOCK, _dual_kernel, _fit_bytes
 from fdvar.verify import backend_spread, random_small_system
 
 ALL_SOLVERS = (solve_direct, solve_dual, solve_svd)
@@ -74,6 +77,44 @@ def test_assemble_deterministic():
     b = assemble(grid, data, config)
     assert np.array_equal(a.matrix, b.matrix)
     assert np.array_equal(a.weights, b.weights)
+
+
+def test_assemble_marks_lattice_systems():
+    grid = FrequencyGrid(d=2, M=2, delta_xi=0.3)
+    system = assemble(grid, Dataset(X=[[0.1, 0.2]], Y=[1.0]), SolveConfig(alpha=2.0, lam=1.0))
+    assert system.lattice
+    hand_built = AssembledSystem(matrix=np.ones((1, 3)), weights=np.ones(3), lam=1.0, rhs=[1.0])
+    assert not hand_built.lattice
+
+
+def test_lattice_mark_needs_odd_columns_and_mirrored_weights():
+    with pytest.raises(ValueError, match="odd column count, got 4"):
+        AssembledSystem(
+            matrix=np.ones((1, 4)), weights=np.ones(4), lam=1.0, rhs=[1.0], lattice=True
+        )
+    with pytest.raises(ValueError, match="reversal"):
+        AssembledSystem(
+            matrix=np.ones((1, 3)), weights=[1.0, 2.0, 3.0], lam=1.0, rhs=[1.0], lattice=True
+        )
+
+
+@pytest.mark.parametrize("lam", [1e-2, 0.0])
+def test_wrong_lattice_mark_fails_residual_checks(lam):
+    # lattice columns J = -2, -1, 1, 0, 2: no longer mirrored, so the
+    # half-lattice kernel is wrong, and the checks over every column catch it
+    grid = FrequencyGrid(d=1, M=2, delta_xi=0.7)
+    data = Dataset(X=[-0.4, 0.1, 0.5], Y=[0.3, -1.0, 0.8])
+    lattice = assemble(grid, data, SolveConfig(alpha=2.0, lam=1.0))
+    system = AssembledSystem(
+        matrix=lattice.matrix[:, [0, 1, 3, 2, 4]],
+        weights=np.ones(5),
+        lam=lam,
+        rhs=data.Y,
+        lattice=True,
+    )
+    with pytest.raises(SolverError, match="residual"):
+        solve_dual(system)
+    solve_dual(replace(system, lattice=False))
 
 
 def test_assemble_capacity_error_names_grid_size():
@@ -145,16 +186,50 @@ def test_dual_cholesky_failure_names_condition_estimate():
         fit(grid, data, SolveConfig(alpha=6.0, lam=1e-20))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 6),
+    n=st.integers(1, 9),
+    block=st.one_of(st.integers(1, 120), st.just(_KERNEL_BLOCK)),
+    lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one point; a one-column block (block < 4n); a half lattice of 4 columns
+# in blocks of 3; the default block holding every column
+@example(d=1, m=3, n=1, block=_KERNEL_BLOCK, lattice=True, seed=1)
+@example(d=2, m=2, n=9, block=17, lattice=True, seed=2)
+@example(d=1, m=3, n=2, block=12, lattice=True, seed=3)
+@example(d=3, m=1, n=4, block=_KERNEL_BLOCK, lattice=False, seed=4)
+def test_blocked_dual_kernel_matches_dense(d, m, n, block, lattice, seed):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        grid = FrequencyGrid(d=d, M=m, delta_xi=rng.uniform(0.01, 1.0))
+        data = Dataset(X=rng.uniform(-3, 3, size=(n, d)), Y=rng.normal(size=n))
+        system = assemble(grid, data, SolveConfig(alpha=rng.uniform(0.5, 6.0), lam=1.0))
+    else:
+        # the all-columns route holds for any complex matrix
+        G = (2 * m + 1) ** d + int(rng.integers(0, 2))
+        system = AssembledSystem(
+            matrix=rng.normal(size=(n, G)) + 1j * rng.normal(size=(n, G)),
+            weights=rng.uniform(0.1, 10.0, size=G),
+            lam=1.0,
+            rhs=rng.normal(size=n),
+        )
+    dense = ((np.conj(system.matrix) / system.weights) @ system.matrix.T).real
+    kernel = _dual_kernel(system, block=block)
+    assert np.max(np.abs(kernel - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_dual_output_hermitian_before_projection():
-    # mu is real, so phi = W^-1 A^H mu needs no projection to be Hermitian
+    # phi is formed on the half lattice and mirrored by conjugation
     grid = FrequencyGrid(d=1, M=500, delta_xi=0.05)
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, size=40)
     data = Dataset(X=X, Y=np.sin(3 * X) + 0.1 * rng.normal(size=40))
     system = assemble(grid, data, SolveConfig(alpha=3.0, lam=1e-2))
     phi = solve_dual(system)
-    defect = SpectralCoefficients(values=phi, grid=grid).hermitian_defect()
-    assert defect <= 1e-14 * np.max(np.abs(phi))
+    assert SpectralCoefficients(values=phi, grid=grid).hermitian_defect() == 0.0
 
 
 def test_zero_lambda_rejected_outside_dual():
@@ -259,7 +334,8 @@ def test_fit_residuals_match_point_evaluations():
 
 
 @pytest.mark.parametrize(
-    "n,d,m", [(1, 1, 20000), (1, 3, 30), (2, 2, 150), (30, 1, 2000), (3, 1, 600)]
+    "n,d,m",
+    [(1, 1, 20000), (1, 3, 30), (2, 2, 150), (30, 1, 2000), (3, 1, 600), (100, 2, 60)],
 )
 def test_memory_estimate_bounds_traced_peak(n, d, m):
     grid = FrequencyGrid(d=d, M=m, delta_xi=0.05)
@@ -271,7 +347,12 @@ def test_memory_estimate_bounds_traced_peak(n, d, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _fit_bytes(n, grid.size)
+    bound = _fit_bytes(n, grid)
+    assert peak <= bound
+    # tight where the arrays outweigh the 1 MiB allowance for small objects
+    # (the former two-matrix bound was 1.5-1.9 times these peaks)
+    if peak >= 2**20:
+        assert bound <= 1.45 * peak
 
 
 def test_fit_residual_shrinks_with_lambda():
