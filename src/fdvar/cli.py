@@ -59,14 +59,19 @@ def _parse_eval_grid(payload: dict) -> tuple[float, float, int]:
     return _checked_grid(float(spec["min"]), float(spec["max"]), count, spec)
 
 
-def _product_grid(specs: list[tuple[float, float, int]], d: int) -> np.ndarray:
+def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: str) -> np.ndarray:
+    """Write ``model`` on the product grid of ``specs`` as ``x1..xd,h``; return its values."""
+    d = model.grid.d
     if len(specs) == 1:
         specs = specs * d
     if len(specs) != d:
         raise ValueError(f"need 1 or {d} grid specs, got {len(specs)}")
     axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = model.evaluate(points)
+    header = [f"x{i + 1}" for i in range(d)] + ["h"]
+    io.write_csv(path, header, [list(p) + [v] for p, v in zip(points, values.real)])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +96,9 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     model = io.load_model(args.model)
     specs = [_parse_grid_spec(s) for s in args.grid]
-    points = _product_grid(specs, model.grid.d)
-    values = model.evaluate(points)
+    values = _write_reconstruction(model, specs, args.output)
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    header = [f"x{i + 1}" for i in range(model.grid.d)] + ["h"]
-    rows = [list(p) + [v] for p, v in zip(points, values.real)]
-    io.write_csv(args.output, header, rows)
-    print(f"points={len(rows)} imag_residue={io.format_float(residue)}")
+    print(f"points={len(values)} imag_residue={io.format_float(residue)}")
     if residue > _EVAL_IMAG_TOL:
         print(
             f"error: imaginary residue {residue:.3e} exceeds {_EVAL_IMAG_TOL:.0e} "
@@ -122,9 +123,7 @@ class ExperimentSpec:
     config: SolveConfig
     axis: str
     values: tuple
-    eval_min: float
-    eval_max: float
-    eval_points: int
+    eval_grid: tuple[float, float, int]
     weight: str
 
 
@@ -160,7 +159,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     if axis == "sigma":
         entries.setdefault("lambda", "1")
     grid_params, config = io.config_from_entries(entries)
-    eval_min, eval_max, eval_points = _parse_eval_grid(payload)
+    eval_grid = _parse_eval_grid(payload)
     weight = payload.get("weight", WEIGHT_BRACKET)
     if weight not in (WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS):
         raise ValueError(f"weight must be '{WEIGHT_BRACKET}' or '{WEIGHT_HOMOGENEOUS}'")
@@ -172,9 +171,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         config=config,
         axis=axis,
         values=values,
-        eval_min=eval_min,
-        eval_max=eval_max,
-        eval_points=eval_points,
+        eval_grid=eval_grid,
         weight=weight,
     )
 
@@ -201,12 +198,7 @@ def _run_sweep_point(spec: ExperimentSpec, value, out_dir: str, index: int) -> d
             elif spec.axis == "M":
                 m = int(value)
             grid = FrequencyGrid(d=spec.data.d, M=m, delta_xi=spec.delta_xi)
-            model = fit(grid, spec.data, config)
-            lo, hi, count = spec.eval_min, spec.eval_max, spec.eval_points
-            points = _product_grid([(lo, hi, count)], spec.data.d)
-            values = model.evaluate(points)
-            header = [f"x{i + 1}" for i in range(spec.data.d)] + ["h"]
-            io.write_csv(path, header, [list(p) + [v] for p, v in zip(points, values.real)])
+            _write_reconstruction(fit(grid, spec.data, config), [spec.eval_grid], path)
         return {"value": float(value), "status": "ok", "artifact": artifact}
     except Exception as exc:
         return {"value": float(value), "status": f"error: {exc}", "artifact": None}
@@ -239,7 +231,6 @@ def _cmd_closedform(args) -> int:
     origin = 0.5 * args.label * float(closed_form.reconstruction(params, 0.0)[0])
     print(f"points={count} h(0)={io.format_float(origin)} z_squared={params.z_squared:.6g}")
     return 0
-
 
 
 def _cmd_verify(args) -> int:

@@ -50,13 +50,18 @@ class ClosedFormParams:
 
 
 def _cosine_sum(series: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_j series[j-1] * cos(2*pi*j*x)``, chunked to bound memory at large M."""
+    """``sum_j series[j-1] * cos(2*pi*j*x)``, formed in one reused 4 MiB buffer."""
     j = np.arange(1, series.shape[0] + 1, dtype=float)
     out = np.empty(x.shape[0], dtype=series.dtype)
-    block = max(1, int(20_000_000 // max(series.shape[0], 1)))
+    block = max(1, 2**19 // max(series.shape[0], 1))
+    buffer = np.empty(min(block, x.shape[0]) * j.shape[0])
     for lo in range(0, x.shape[0], block):
         chunk = x[lo : lo + block]
-        out[lo : lo + block] = np.cos(2.0 * np.pi * np.outer(chunk, j)) @ series
+        cosines = buffer[: chunk.shape[0] * j.shape[0]].reshape(chunk.shape[0], -1)
+        np.multiply.outer(chunk, j, out=cosines)
+        np.multiply(cosines, 2.0 * np.pi, out=cosines)
+        np.cos(cosines, out=cosines)
+        out[lo : lo + block] = cosines @ series
     return out
 
 
@@ -93,7 +98,9 @@ def assembled_system(params: ClosedFormParams, label: float = 2.0) -> AssembledS
 
 
 def synthesize(phi, delta_xi: float, x) -> np.ndarray:
-    """Even cosine synthesis ``2*delta_xi * sum_j phi_j cos(2*pi*j*x)``."""
-    phi = np.asarray(phi)
+    """Real part of the even cosine synthesis ``2*delta_xi * sum_j phi_j cos(2*pi*j*x)``.
+
+    The cosines are real, so only ``Re(phi)`` is summed, in real arithmetic.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return 2.0 * delta_xi * np.real(_cosine_sum(phi, x))
+    return 2.0 * delta_xi * _cosine_sum(np.real(np.asarray(phi)), x)

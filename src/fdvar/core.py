@@ -9,8 +9,6 @@ import numpy as np
 
 from .grid import FrequencyGrid
 
-HERMITIAN_TOL = 1e-12
-
 
 def japanese_bracket(xi) -> float:
     """``(1 + ||xi||^2)^(1/2)`` for a single frequency point ``xi``."""
@@ -65,7 +63,6 @@ class SpectralCoefficients:
 
     values: np.ndarray
     grid: FrequencyGrid
-    hermitian: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex).reshape(-1)
@@ -74,10 +71,6 @@ class SpectralCoefficients:
                 f"coefficient vector has length {values.shape[0]}, grid size is {self.grid.size}"
             )
         object.__setattr__(self, "values", values)
-        if self.hermitian:
-            defect = self.hermitian_defect()
-            if defect > HERMITIAN_TOL * max(1.0, float(np.abs(values).max(initial=0.0))):
-                raise ValueError(f"coefficients flagged hermitian but defect is {defect:.3e}")
 
     def hermitian_defect(self) -> float:
         """Largest deviation from ``values[-J] == conj(values[J])``.
@@ -89,7 +82,7 @@ class SpectralCoefficients:
     def hermitian_projected(self) -> "SpectralCoefficients":
         """Average each mode with the conjugate of its negated partner."""
         sym = 0.5 * (self.values + np.conj(self.values[::-1]))
-        return SpectralCoefficients(values=sym, grid=self.grid, hermitian=True)
+        return SpectralCoefficients(values=sym, grid=self.grid)
 
 
 @dataclass(frozen=True)
@@ -137,19 +130,24 @@ def _as_points(points, d: int) -> np.ndarray:
 def point_evaluations(coeffs: SpectralCoefficients, points) -> np.ndarray:
     """Evaluate ``sum_J phi_J exp(2*pi*i*delta_xi*J.x)`` at each point.
 
-    This is the linear map carrying a spectral vector to its reconstruction
-    values at sample points; for hermitian coefficients the imaginary parts
-    are numerical noise.  The points go through ``FrequencyGrid.phases`` in
-    blocks of about ``2**18`` phases (4 MiB), which bounds the memory.  A
-    block stays well below a fit's n-by-G matrix: glibc raises its mmap
-    threshold to the largest block freed, so a larger block would send later
-    matrices to the heap, whose peak varies from run to run with its layout.
+    The coefficients, shaped ``(2M+1,)*d``, are contracted with the points'
+    ``FrequencyGrid.axis_phases``: the last axis by one GEMM (at d = 1 the
+    whole product), then each other axis, batched over points.  Point blocks
+    keep every temporary at or under 4 MiB, far below a fit's n-by-G matrix:
+    glibc raises its mmap threshold to the largest block freed, so larger
+    blocks would send later matrices to the heap, whose peak varies by run.
     """
-    pts = _as_points(points, coeffs.grid.d)
+    grid = coeffs.grid
+    pts = _as_points(points, grid.d)
+    values = coeffs.values.reshape(-1, grid.axis_points).T
     out = np.empty(pts.shape[0], dtype=complex)
-    block = max(1, 2**18 // coeffs.grid.size)
+    block = max(1, 2**18 // max(values.shape))
     for lo in range(0, pts.shape[0], block):
-        out[lo : lo + block] = coeffs.grid.phases(pts[lo : lo + block]) @ coeffs.values
+        *leading, last = [grid.axis_phases(x) for x in pts[lo : lo + block].T]
+        sums = last @ values
+        for table in reversed(leading):
+            sums = np.einsum("bij,bj->bi", sums.reshape(len(table), -1, table.shape[1]), table)
+        out[lo : lo + block] = sums[:, 0]
     return out
 
 

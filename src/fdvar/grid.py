@@ -71,28 +71,31 @@ class FrequencyGrid:
         axis = np.arange(-self.M, self.M + 1, dtype=float) ** 2
         return functools.reduce(np.add.outer, [axis] * self.d).ravel() * self.delta_xi**2
 
+    def axis_phases(self, x) -> np.ndarray:
+        """``exp(2*pi*i*delta_xi*j*x)``, one row per entry of ``x``, columns ``j = -M..M``.
+
+        Formed for ``j = 0..M`` and mirrored by conjugation: ``M+1`` exponentials
+        per entry, and column ``-j`` is exactly ``conj`` of column ``j``.
+        """
+        step = 2j * np.pi * self.delta_xi * np.arange(self.M + 1)
+        table = np.empty((len(x), self.axis_points), dtype=complex)
+        right = table[:, self.M :]
+        np.multiply.outer(x, step, out=right)
+        np.exp(right, out=right)
+        np.conj(table[:, : self.M : -1], out=table[:, : self.M])
+        return table
+
     def phases(self, points: np.ndarray) -> np.ndarray:
         """``exp(2*pi*i*delta_xi*J.x)``, one row per point of the n-by-d ``points``.
 
         Columns follow the flat order of ``J``.  Each row is the Kronecker
-        product of per-axis factors formed for ``j = 0..M`` and mirrored by
-        conjugation, so a point costs ``d*(M+1)`` exponentials and column
-        ``-J`` is exactly ``conj`` of column ``J``.
+        product of the point's ``axis_phases``, so column ``-J`` is exactly
+        ``conj`` of column ``J``; only ``solver.assemble`` needs these rows.
         """
-        step = 2j * np.pi * self.delta_xi * np.arange(self.M + 1)
-        out = None
-        for x in np.asarray(points, dtype=float).T:
-            factor = np.empty((len(x), self.axis_points), dtype=complex)
-            right = factor[:, self.M :]
-            np.multiply.outer(x, step, out=right)
-            np.exp(right, out=right)
-            np.conj(factor[:, : self.M : -1], out=factor[:, : self.M])
-            # Starting from the first factor, not a column of ones, spares an
-            # n-by-size copy at d = 1.
-            if out is not None:
-                factor = (out[:, :, None] * factor[:, None, :]).reshape(len(x), -1)
-            out = factor
-        return out
+        tables = [self.axis_phases(x) for x in np.asarray(points, dtype=float).T]
+        return functools.reduce(
+            lambda out, table: (out[:, :, None] * table[:, None, :]).reshape(len(out), -1), tables
+        )
 
     def sobolev_weights(self, alpha: float) -> np.ndarray:
         """Spectral weights ``(1 + ||J*delta_xi||^2)^(alpha/2)``."""

@@ -97,10 +97,10 @@ def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
     Counted in 8-byte words: the n-by-G complex matrix; while it is formed,
     the Kronecker factor of the leading axes, n-by-(G / axis points)
     complex; one block of the dual kernel's real factor (``_KERNEL_BLOCK``
-    doubles, or n*(G+1) if that is fewer); nine G-length words at the
-    Hermitian projection, the worst stage (weights, coefficients and their
-    projection with its defect check); the n-by-n kernel, its rank-k update
-    and its factor, with an n-by-n spare; and 1 MiB of small objects.
+    doubles, or n*(G+1) if that is fewer); eight G-length words at the
+    normal-equation check, the worst stage (weights, coefficients, gradient
+    and its penalty term); the n-by-n kernel, its rank-k update and its
+    factor, with an n-by-n spare; and 1 MiB of small objects.
     """
     G = grid.size
     leading = G // grid.axis_points
@@ -108,7 +108,7 @@ def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
         2 * n * G
         + 2 * n * leading
         + min(_KERNEL_BLOCK, n * (G + 1))
-        + 9 * G
+        + 8 * G
         + 4 * n * n
         + 2**17
     )
@@ -138,7 +138,8 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
 def _check_normal_residual(system: AssembledSystem, phi: np.ndarray, tolerance: float) -> None:
     # A^H v is taken as conj(conj(v) @ A), so no copy of A^H is formed.
     misfit = system.matrix @ phi - system.rhs
-    gradient = np.conj(np.conj(misfit) @ system.matrix) + system.lam * system.weights * phi
+    gradient = np.conj(np.conj(misfit) @ system.matrix)
+    gradient += system.lam * system.weights * phi
     reference = float(np.linalg.norm(system.rhs @ system.matrix))
     if float(np.linalg.norm(gradient)) > tolerance * max(reference, 1e-300):
         raise SolverError(
@@ -277,10 +278,9 @@ def fit(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> FittedModel:
     """Assemble, solve through the dual kernel, and package the result.
 
     The assembled system is a lattice, so the dual output is exactly
-    Hermitian and the reconstruction exactly real.  The O(G) projection
-    (each mode averaged with the conjugate of its negated partner) stays as
-    the one step that flags the coefficients Hermitian; on this output it
-    changes nothing.
+    Hermitian and the reconstruction exactly real; the O(G) projection
+    (each mode averaged with the conjugate of its negated partner) changes
+    nothing on this output.
     Residuals ``|A phi - Y|`` are taken for the projected coefficients with
     the matrix that assembly formed, not taken from the solver.
     """

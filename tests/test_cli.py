@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdvar.cli import main
+from fdvar.io import load_model
 
 CONFIG = """
 alpha = 4
@@ -129,7 +130,7 @@ def test_eval_bad_grid_spec_exit_2(workspace, capsys, grid):
 
 def test_eval_2d_grid(workspace, tmp_path):
     (workspace / "plane.csv").write_text(
-        "x1,x2,y\n0.0,0.0,1.0\n0.5,0.5,0.5\n", encoding="utf-8"
+        "x1,x2,y\n0.0,0.0,1.0\n0.5,-0.25,0.5\n", encoding="utf-8"
     )
     (workspace / "config2.txt").write_text(
         "alpha = 3\nlambda = 0.5\nM = 6\ndelta_xi = 0.2\n", encoding="utf-8"
@@ -159,6 +160,15 @@ def test_eval_2d_grid(workspace, tmp_path):
     lines = (workspace / "r2.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "x1,x2,h"
     assert len(lines) == 26
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    # meshgrid "ij" order: x1 is the slowest axis
+    axis = np.linspace(-1, 1, 5)
+    np.testing.assert_array_equal(rows[:, 0], np.repeat(axis, 5))
+    np.testing.assert_array_equal(rows[:, 1], np.tile(axis, 5))
+    model = load_model(str(workspace / "m2.json"))
+    argument = 2 * np.pi * model.grid.delta_xi * (rows[:, :2] @ model.grid.lattice().T)
+    direct = np.exp(1j * argument) @ model.coefficients.values
+    assert np.max(np.abs(rows[:, 2] - direct.real)) <= 1e-12 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdvar import (
     Dataset,
@@ -18,9 +20,7 @@ from fdvar import (
 def random_hermitian(grid, rng):
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     perm = grid.negation_permutation()
-    return SpectralCoefficients(
-        values=0.5 * (values + np.conj(values[perm])), grid=grid, hermitian=True
-    )
+    return SpectralCoefficients(values=0.5 * (values + np.conj(values[perm])), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +72,9 @@ def test_coefficients_length_check():
 
 def test_hermitian_flag_validation():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
-    with pytest.raises(ValueError, match="hermitian"):
-        SpectralCoefficients(values=[1.0, 0.0, 2.0], grid=grid, hermitian=True)
-    ok = SpectralCoefficients(values=[1 + 2j, 0.5, 1 - 2j], grid=grid, hermitian=True)
+    ok = SpectralCoefficients(values=[1 + 2j, 0.5, 1 - 2j], grid=grid)
     assert ok.hermitian_defect() == 0.0
+    assert SpectralCoefficients(values=[1.0, 0.0, 2.0], grid=grid).hermitian_defect() == 1.0
 
 
 def test_hermitian_projection_idempotent():
@@ -137,6 +136,42 @@ def test_point_evaluations_linearity():
         SpectralCoefficients(values=v1, grid=grid), X
     ) + b * point_evaluations(SpectralCoefficients(values=v2, grid=grid), X)
     assert np.max(np.abs(combo - parts)) <= 1e-12 * max(1.0, np.max(np.abs(parts)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 5),
+    delta_xi=st.floats(1e-3, 10.0),
+    scale=st.floats(1e-3, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_point_evaluations_match_direct_sum(d, m, delta_xi, scale, seed):
+    """The per-axis contraction against the plain lattice sum, in any axis order."""
+    grid = FrequencyGrid(d=d, M=m, delta_xi=delta_xi)
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-scale, scale, size=(5, d))
+    values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    argument = 2 * np.pi * delta_xi * (X @ grid.lattice().T)
+    expected = np.exp(1j * argument) @ values
+    got = point_evaluations(SpectralCoefficients(values=values, grid=grid), X)
+    bound = 1e-14 * (1 + np.max(np.abs(argument))) * np.sum(np.abs(values))
+    assert np.max(np.abs(got - expected)) <= bound
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 2**17, 3), (3, 20, 160)])
+def test_point_evaluations_across_blocks(d, m, n):
+    """More points than one 4 MiB block holds: one point per block at d = 1, 155 at d = 3."""
+    grid = FrequencyGrid(d=d, M=m, delta_xi=0.013)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-3, 3, size=(n, d))
+    values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+    lattice = grid.lattice()
+    expected = [np.exp(2j * np.pi * grid.delta_xi * (lattice @ x)) @ values for x in X]
+    got = point_evaluations(SpectralCoefficients(values=values, grid=grid), X)
+    max_argument = 2 * np.pi * grid.delta_xi * m * np.max(np.sum(np.abs(X), axis=1))
+    bound = 1e-14 * (1 + max_argument) * np.sum(np.abs(values))
+    assert np.max(np.abs(got - np.array(expected))) <= bound
 
 
 def test_hermitian_gives_real_values():
