@@ -74,14 +74,23 @@ class FrequencyGrid:
     def axis_phases(self, x) -> np.ndarray:
         """``exp(2*pi*i*delta_xi*j*x)``, one row per entry of ``x``, columns ``j = -M..M``.
 
-        Formed for ``j = 0..M`` and mirrored by conjugation: ``M+1`` exponentials
-        per entry, and column ``-j`` is exactly ``conj`` of column ``j``.
+        Formed for ``j = 0..M`` and mirrored by conjugation, so column ``-j``
+        is exactly ``conj`` of column ``j``.  Each ``j = q*B + r`` with
+        ``B = ceil(sqrt(M+1))`` and ``0 <= r < B``, so the entry is the product
+        of a coarse exponential (``q*B``) and a fine one (``r``): about
+        ``2*sqrt(M+1)`` exponentials per entry of ``x`` instead of ``M+1``.
+        The rows ``q`` fill ``B`` columns each; the last row may be partial.
         """
-        step = 2j * np.pi * self.delta_xi * np.arange(self.M + 1)
+        width = math.isqrt(self.M) + 1
+        rows, tail = divmod(self.M + 1, width)
+        turn = 2j * np.pi * self.delta_xi
+        fine = np.exp(np.multiply.outer(x, turn * np.arange(width)))
+        coarse = np.exp(np.multiply.outer(x, turn * width * np.arange(rows + (tail > 0))))
         table = np.empty((len(x), self.axis_points), dtype=complex)
-        right = table[:, self.M :]
-        np.multiply.outer(x, step, out=right)
-        np.exp(right, out=right)
+        full = table[:, self.M : self.M + rows * width].reshape(len(x), rows, width)
+        np.multiply(coarse[:, :rows, None], fine[:, None, :], out=full)
+        if tail:
+            np.multiply(coarse[:, rows, None], fine[:, :tail], out=table[:, -tail:])
         np.conj(table[:, : self.M : -1], out=table[:, : self.M])
         return table
 

@@ -98,8 +98,9 @@ def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
     the Kronecker factor of the leading axes, n-by-(G / axis points)
     complex; one block of the dual kernel's real factor (``_KERNEL_BLOCK``
     doubles, or n*(G+1) if that is fewer); eight G-length words at the
-    normal-equation check, the worst stage (weights, coefficients, gradient
-    and its penalty term); the n-by-n kernel, its rank-k update and its
+    normal-equation check, the worst stage (weights, coefficients, the
+    two-row product whose rows hold the gradient and its penalty term, and
+    the scaled weights); the n-by-n kernel, its rank-k update and its
     factor, with an n-by-n spare; and 1 MiB of small objects.
     """
     G = grid.size
@@ -136,11 +137,13 @@ def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> Assembl
 
 
 def _check_normal_residual(system: AssembledSystem, phi: np.ndarray, tolerance: float) -> None:
-    # A^H v is taken as conj(conj(v) @ A), so no copy of A^H is formed.
+    # A^H v is taken as conj(conj(v) @ A), so no copy of A^H is formed; A^H
+    # misfit and A^T b come from one two-row product, one pass over A.
     misfit = system.matrix @ phi - system.rhs
-    gradient = np.conj(np.conj(misfit) @ system.matrix)
-    gradient += system.lam * system.weights * phi
-    reference = float(np.linalg.norm(system.rhs @ system.matrix))
+    rows = np.stack([np.conj(misfit), system.rhs]) @ system.matrix
+    reference = float(np.linalg.norm(rows[1]))
+    gradient = np.conj(rows[0], out=rows[0])
+    gradient += np.multiply(system.lam * system.weights, phi, out=rows[1])
     if float(np.linalg.norm(gradient)) > tolerance * max(reference, 1e-300):
         raise SolverError(
             f"normal-equation residual {np.linalg.norm(gradient):.3e} exceeds "

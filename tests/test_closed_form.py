@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fdvar.closed_form as closed_form
-from fdvar import solve_direct, solve_dual, solve_svd
+from fdvar import FrequencyGrid, solve_direct, solve_dual, solve_svd
 from fdvar.critical import log_log_slope
 
 
@@ -62,6 +64,66 @@ def test_reconstruction_even():
     left = closed_form.reconstruction(params, -xs)
     right = closed_form.reconstruction(params, xs)
     assert np.array_equal(left, right)
+
+
+def dense_cosine_sum(series, x):
+    return np.cos(2 * np.pi * np.outer(x, np.arange(1, series.shape[0] + 1))) @ series
+
+
+# The series are positive, as the oracle's (inverse weights), and x = 0 is
+# among the points, so max|dense| is the series' total.  The dense sum's
+# own argument rounding, about eps*2*pi*j*|x| per term, then stays far
+# below the gate.
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 5000),
+    alpha=st.floats(0.1, 6.0),
+    delta_xi=st.floats(1e-3, 1.0),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+# N+1 a perfect square (3, 4095), one short of a full last row (10: width 4,
+# 11 = 3*4 - 1) and one past a full row (16: width 5, 17 = 3*5 + 2)
+@example(m=1, alpha=1.0, delta_xi=0.5, n=1, seed=0)
+@example(m=3, alpha=2.0, delta_xi=0.5, n=3, seed=1)
+@example(m=10, alpha=0.5, delta_xi=0.1, n=5, seed=2)
+@example(m=16, alpha=4.0, delta_xi=0.01, n=7, seed=3)
+@example(m=4095, alpha=0.1, delta_xi=0.001, n=2, seed=4)
+def test_cosine_sum_matches_dense_sum(m, alpha, delta_xi, n, seed):
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, m + 1)
+    series = (1.0 + (j * delta_xi) ** 2) ** (-alpha / 2) * rng.uniform(0.5, 1.0, size=m)
+    x = np.append(rng.uniform(-0.5, 0.5, size=n), 0.0)
+    dense = dense_cosine_sum(series, x)
+    got = closed_form._cosine_sum(series, x)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+# 1001 points span 15 point blocks at M = 1e5, the diagnostics shape, where
+# every 20th point is compared (x = 0 among them), and 4 blocks at M = 5000,
+# where every point is compared
+@pytest.mark.parametrize("m,every", [(100_000, 20), (5_000, 1)])
+def test_cosine_sum_across_point_blocks(m, every):
+    params = closed_form.ClosedFormParams(M=m, delta_xi=1e-3, alpha=4.0, lam=1.0)
+    xs = np.linspace(-0.5, 0.5, 1001)
+    got = closed_form._cosine_sum(params.inverse_weights(), xs)
+    dense = dense_cosine_sum(params.inverse_weights(), xs[::every])
+    assert np.max(np.abs(got[::every] - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_oracle_does_not_use_frequency_grid(monkeypatch):
+    # verify's closed-form check compares the solver with this oracle; routed
+    # through the grid's phase tables it would compare a path with itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed_form must not use FrequencyGrid phase tables")
+
+    monkeypatch.setattr(FrequencyGrid, "axis_phases", refuse)
+    monkeypatch.setattr(FrequencyGrid, "phases", refuse)
+    params = make_params(M=300, delta_xi=0.05, alpha=2.0, lam=0.1)
+    xs = np.linspace(-0.5, 0.5, 11)
+    expected = closed_form.reconstruction(params, xs)
+    got = closed_form.synthesize(closed_form.coefficients(params), params.delta_xi, xs)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("alpha,lam,delta_xi", [(4.0, 1.0, 0.01), (1.5, 1e-3, 0.05)])

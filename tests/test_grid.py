@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdvar import FrequencyGrid
@@ -77,6 +77,33 @@ def test_phases_match_lattice_exponentials(d, m, delta_xi, scale, seed):
     assert error <= 1e-14 * (1 + np.max(np.abs(argument)))
     # column -J is the reversed flat index and exactly conj of column J
     assert np.array_equal(P[:, ::-1], np.conj(P))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 400),
+    delta_xi=st.floats(1e-3, 10.0),
+    scale=st.floats(1e-3, 100.0),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+# M+1 a perfect square (3, 399), one short of a full last row (10: width 4,
+# 11 = 3*4 - 1) and one past a full row (16: width 5, 17 = 3*5 + 2)
+@example(m=1, delta_xi=0.5, scale=1.0, n=1, seed=0)
+@example(m=3, delta_xi=0.5, scale=1.0, n=3, seed=1)
+@example(m=10, delta_xi=1.3, scale=10.0, n=5, seed=2)
+@example(m=16, delta_xi=0.01, scale=50.0, n=7, seed=3)
+@example(m=399, delta_xi=7.0, scale=100.0, n=2, seed=4)
+def test_axis_phases_match_exponentials(m, delta_xi, scale, n, seed):
+    grid = FrequencyGrid(d=1, M=m, delta_xi=delta_xi)
+    x = np.random.default_rng(seed).uniform(-scale, scale, size=n)
+    outer = np.multiply.outer(x, np.arange(-m, m + 1))
+    argument = 2 * np.pi * delta_xi * outer
+    T = grid.axis_phases(x)
+    assert T.shape == (n, 2 * m + 1)
+    error = np.max(np.abs(T - np.exp(2j * np.pi * delta_xi * outer)))
+    assert error <= 1e-14 * (1 + np.max(np.abs(argument)))
+    assert np.array_equal(T[:, ::-1], np.conj(T))
 
 
 def test_validation():
