@@ -62,16 +62,16 @@ def gaussian_radial_moment(k: int) -> float:
     return _quad(lambda r: r**k * math.exp(-GAUSS_RATE * r * r), 0.0, 3.0, rel_tol=1e-11)
 
 
+def _moment(k: float) -> float:
+    # integral_0^inf r^k exp(-4 pi^2 r^2) dr = Gamma((k+1)/2) / (2 (2 pi)^(k+1)), DLMF 5.9.1
+    return 0.5 * math.gamma((k + 1.0) / 2.0) * (2.0 * math.pi) ** (-(k + 1.0))
+
+
 def gaussian_radial_moment_exact(k: int) -> float:
-    """Closed form of the same moment, split by the parity of ``k``."""
+    """Closed form of the same moment, ``Gamma((k+1)/2) / (2 (2 pi)^(k+1))``."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("moment order must be a nonnegative integer")
-    if k % 2 == 1:
-        return 0.5 * math.factorial((k - 1) // 2) * (2.0 * math.pi) ** (-(k + 1))
-    double_fact = math.prod(range(k - 1, 0, -2))
-    return (
-        0.5 * math.sqrt(math.pi) * (2.0 * math.pi) ** (-(k + 1)) * 0.5 ** (k // 2) * double_fact
-    )
+    return _moment(k)
 
 
 def _validate_norm_args(d: int, alpha: float, sigma: float) -> None:
@@ -104,14 +104,12 @@ def gaussian_sobolev_norm(d: int, alpha: float, sigma: float) -> float:
 def gaussian_homogeneous_norm(d: int, alpha: float, sigma: float) -> float:
     """Same norm with the pure-power weight ``||xi||^alpha``.
 
-    The radial factor is sigma-free, so the value scales exactly as
-    ``sigma^(d-alpha)`` and equals the critical constant when ``alpha = d``.
+    The radial factor is the sigma-free moment of order ``alpha + d - 1``, so
+    the value scales exactly as ``sigma^(d-alpha)`` and equals the critical
+    constant when ``alpha = d``.
     """
     _validate_norm_args(d, alpha, sigma)
-    upper = max(3.0, 2.0 * sigma)
-    radial = _quad(
-        lambda r: r ** (alpha + d - 1) * math.exp(-GAUSS_RATE * r * r), 0.0, upper
-    )
+    radial = _moment(alpha + d - 1)
     return (2.0 * math.pi) ** d * sigma ** (d - alpha) * sphere_area(d) * radial
 
 

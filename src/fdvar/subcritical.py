@@ -6,10 +6,10 @@ of width ``sigma`` exists whenever the kernel matrix solves; shrinking
 up to cross terms, so the norm collapses for ``alpha < d`` and blows up for
 ``alpha > d`` while interpolating the data exactly throughout.
 
-The norm integral is evaluated two ways: a fast pairwise route that reduces
-each cross term to a one-dimensional radial integral (cosine, Bessel-J0 and
-sine kernels for d = 1, 2, 3), and a brute tensor-grid quadrature used as
-the checking oracle.
+Each cross term of the norm is one polar radial integral, whose angular
+mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3.  A brute
+tensor-grid quadrature, ``_grid_norm``, is kept as a private oracle for the
+tests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .core import Dataset
+from .core import Dataset, _as_points
 from .critical import (
     GAUSS_RATE,
     WEIGHT_BRACKET,
@@ -35,6 +35,9 @@ from .errors import QuadratureError, SolverError
 _INTERPOLATION_TOL = 1e-10
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 _MAX_GRID_POINTS = 40_000_000
+_MAX_PANELS = 50_000
+# Edges of the first panel's split, as fractions of its width: 8^-10 .. 8^-1.
+_ORIGIN_GRADING = 8.0 ** -np.arange(10, 0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,8 @@ def build_interpolant(data: Dataset, sigma: float) -> GaussianInterpolant:
 
 def evaluate_interpolant(interp: GaussianInterpolant, points) -> np.ndarray:
     """``sum_i g_i exp(-||x - x_i||^2 / (2 sigma^2))`` at each point."""
-    pts = np.asarray(points, dtype=float)
-    squeeze = pts.ndim == 0 or (pts.ndim == 1 and interp.data.d > 1)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        pts = pts[:, None] if interp.data.d == 1 else pts[None, :]
-    if pts.shape[1] != interp.data.d:
-        raise ValueError(f"points must have {interp.data.d} coordinates per row")
+    pts = _as_points(points, interp.data.d)
+    squeeze = np.ndim(points) == 0 or (np.ndim(points) == 1 and interp.data.d > 1)
     diffs = pts[:, None, :] - interp.data.X[None, :, :]
     bumps = np.exp(-np.sum(diffs * diffs, axis=2) / (2.0 * interp.sigma**2))
     values = bumps @ interp.coefficients
@@ -122,15 +119,24 @@ def _radial_cutoff(d: int, alpha: float, sigma: float) -> float:
 
 
 def _panel_integral(fn, upper: float, oscillation: float, sigma: float) -> float:
-    """Composite 16-point Gauss-Legendre with panels resolving the fastest scale."""
+    """Composite 16-point Gauss-Legendre with panels resolving the fastest scale.
+
+    The first panel is split geometrically toward the origin, where the
+    homogeneous weight ``r^alpha`` has a kink and the bracket weight varies on
+    the unit scale.
+    """
     scales = [upper / 8.0, 1.0 / (4.0 * math.pi * sigma)]
     if oscillation > 0:
         scales.append(1.0 / (4.0 * oscillation))
     panel = min(scales)
     n_panels = int(math.ceil(upper / panel))
-    if n_panels > 50_000:
-        raise QuadratureError("pairwise radial integral needs too many panels")
+    if n_panels > _MAX_PANELS:
+        raise QuadratureError(
+            f"pairwise radial integral at distance {oscillation:g}, sigma={sigma:g} needs "
+            f"{n_panels} panels, over the limit of {_MAX_PANELS}"
+        )
     edges = np.linspace(0.0, upper, n_panels + 1)
+    edges = np.concatenate([[0.0], edges[1] * _ORIGIN_GRADING, edges[1:]])
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     r = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -138,43 +144,33 @@ def _panel_integral(fn, upper: float, oscillation: float, sigma: float) -> float
     return float(np.sum(w * fn(r)))
 
 
+# Angular mean of ``cos(t u . e)`` over unit vectors ``u`` in R^d.
+_ANGULAR_MEAN = {
+    1: np.cos,
+    2: j0,
+    3: lambda t: np.sinc(t / np.pi),
+}
+
+
 def _pair_term(d: int, alpha: float, sigma: float, distance: float, weight: str) -> float:
-    """``integral w(||xi||) psi_sigma(xi)^2 cos(2 pi xi . v) dxi`` for ``||v|| = distance``."""
+    """``integral w(||xi||) psi_sigma(xi)^2 cos(2 pi xi . v) dxi`` for ``||v|| = distance``.
+
+    In polar form it is ``(2 pi)^d sigma^(2d) omega_d * integral_0^R w(r)
+    exp(-4 pi^2 sigma^2 r^2) r^(d-1) m_d(2 pi r distance) dr``, with ``m_d``
+    the angular mean of cos; ``m_d(0) = 1`` makes distance 0 no special case.
+    """
     wf = _weight_function(alpha, weight)
-    envelope = lambda r: wf(r) * np.exp(-GAUSS_RATE * sigma * sigma * r * r)
-    upper = _radial_cutoff(d, alpha, sigma)
-    prefactor = (2.0 * math.pi) ** d * sigma ** (2 * d)
-    if distance == 0.0:
-        radial = _panel_integral(lambda r: envelope(r) * r ** (d - 1), upper, 0.0, sigma)
-        return prefactor * sphere_area(d) * radial
-    if d == 1:
-        radial = _panel_integral(
-            lambda r: envelope(r) * np.cos(2.0 * np.pi * distance * r), upper, distance, sigma
-        )
-        return prefactor * 2.0 * radial
-    if d == 2:
-        radial = _panel_integral(
-            lambda r: envelope(r) * r * j0(2.0 * np.pi * distance * r), upper, distance, sigma
-        )
-        return prefactor * 2.0 * math.pi * radial
-    if d == 3:
-        radial = _panel_integral(
-            lambda r: envelope(r) * r * np.sin(2.0 * np.pi * distance * r), upper, distance, sigma
-        )
-        return prefactor * 2.0 / distance * radial
-    raise ValueError("pairwise quadrature implemented for d <= 3")
-
-
-def _pairwise_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
-    X = interp.data.X
-    g = interp.coefficients
-    d = interp.data.d
-    diffs = X[:, None, :] - X[None, :, :]
-    distances = np.sqrt(np.sum(diffs * diffs, axis=2))
-    # One radial integral per distinct distance (to 12 decimals).
-    keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
-    terms = np.array([_pair_term(d, alpha, interp.sigma, float(key), weight) for key in keys])
-    return float(g @ terms[inverse].reshape(distances.shape) @ g)
+    mean = _ANGULAR_MEAN[d]
+    radial = _panel_integral(
+        lambda r: wf(r)
+        * np.exp(-GAUSS_RATE * sigma * sigma * r * r)
+        * r ** (d - 1)
+        * mean(2.0 * np.pi * distance * r),
+        _radial_cutoff(d, alpha, sigma),
+        distance,
+        sigma,
+    )
+    return (2.0 * math.pi) ** d * sigma ** (2 * d) * sphere_area(d) * radial
 
 
 def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
@@ -189,13 +185,15 @@ def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
     axis = np.arange(-n_half, n_half + 1) * spacing
     if axis.size**d > _MAX_GRID_POINTS:
         raise QuadratureError(
-            f"grid quadrature needs {axis.size**d:.2e} points; use the pairwise method"
+            f"grid quadrature needs {axis.size**d:.2e} points, over the limit of "
+            f"{_MAX_GRID_POINTS:.0e}; use a wider sigma or points nearer the origin"
         )
     wf = _weight_function(alpha, weight)
     prefactor = (2.0 * math.pi) ** d * sigma ** (2 * d)
     total = 0.0
-    # Chunk along the first axis to bound memory for d >= 2.
-    chunk = max(1, int(4_000_000 // max(axis.size ** (d - 1), 1)))
+    # Chunk along the first axis, about 2**18 grid points at a time: the
+    # temporaries take some 30 words per grid point.
+    chunk = max(1, 2**18 // axis.size ** (d - 1))
     for lo in range(0, axis.size, chunk):
         first = axis[lo : lo + chunk]
         mesh = np.meshgrid(first, *([axis] * (d - 1)), indexing="ij")
@@ -208,24 +206,26 @@ def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
 
 
 def interpolant_sobolev_norm(
-    interp: GaussianInterpolant,
-    alpha: float,
-    weight: str = WEIGHT_BRACKET,
-    method: str = "pairwise",
+    interp: GaussianInterpolant, alpha: float, weight: str = WEIGHT_BRACKET
 ) -> float:
     """Squared spectral norm of the interpolant's Gaussian-envelope spectrum.
 
     ``weight`` selects the bracket ``(1+||xi||^2)^(alpha/2)`` or the
-    pure-power ``||xi||^alpha`` density; ``method`` selects the pairwise
-    fast path or the tensor-grid oracle.
+    pure-power ``||xi||^alpha`` density.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be positive")
-    if method == "pairwise":
-        return _pairwise_norm(interp, alpha, weight)
-    if method == "grid":
-        return _grid_norm(interp, alpha, weight)
-    raise ValueError(f"unknown method {method!r}")
+    X = interp.data.X
+    g = interp.coefficients
+    d = interp.data.d
+    if d not in _ANGULAR_MEAN:
+        raise ValueError("pairwise quadrature implemented for d <= 3")
+    diffs = X[:, None, :] - X[None, :, :]
+    distances = np.sqrt(np.sum(diffs * diffs, axis=2))
+    # One radial integral per distinct distance (to 12 decimals).
+    keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
+    terms = np.array([_pair_term(d, alpha, interp.sigma, float(key), weight) for key in keys])
+    return float(g @ terms[inverse].reshape(distances.shape) @ g)
 
 
 @dataclass(frozen=True)

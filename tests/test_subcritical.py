@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import integrate
 
 from fdvar import (
     Dataset,
+    QuadratureError,
     SolverError,
     build_interpolant,
     decay_sweep,
@@ -13,7 +18,8 @@ from fdvar import (
     gaussian_sobolev_norm,
     interpolant_sobolev_norm,
 )
-from fdvar.critical import WEIGHT_HOMOGENEOUS
+from fdvar.critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS
+from fdvar.subcritical import _grid_norm, _pair_term, _radial_cutoff
 
 PLANE_DATA = Dataset(
     X=[[-1.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [1.5, 0.5]],
@@ -68,6 +74,17 @@ def test_evaluate_examples():
     assert far <= math.exp(-50.0) * np.sum(np.abs(interp.coefficients))
 
 
+def test_evaluate_rejects_nonfinite_points_and_keeps_scalar_returns():
+    line = build_interpolant(Dataset(X=[0.0], Y=[2.0]), sigma=1.0)
+    plane = build_interpolant(PLANE_DATA, sigma=0.2)
+    for interp, bad in [(line, math.nan), (line, [0.0, math.inf]), (plane, [[0.0, math.nan]])]:
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_interpolant(interp, bad)
+    assert isinstance(line.evaluate(0.5), float)
+    assert isinstance(plane.evaluate([-1.5, 0.5]), float)
+    assert plane.evaluate([[-1.5, 0.5]]).shape == (1,)
+
+
 def test_dominance_warning_when_kernel_flat():
     data = Dataset(X=[-0.5, 0.0, 0.5], Y=[1.0, 1.0, 1.0])
     with pytest.warns(UserWarning, match="dominant"):
@@ -107,8 +124,8 @@ def test_dominance_margin_positive_at_small_widths():
 # ---------------------------------------------------------------------------
 # spectral norms
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("d,alpha,sigma", [(1, 1.7, 0.3), (2, 1.0, 0.12), (3, 2.5, 0.4)])
-def test_single_point_norm_reduces_to_gaussian_norm(d, alpha, sigma):
+def _check_single_point_norm(d, alpha, sigma):
+    # the homogeneous reference is exact; the bracket one is adaptive quadrature
     interp = build_interpolant(Dataset(X=np.zeros((1, d)), Y=[1.0]), sigma)
     bracket = interpolant_sobolev_norm(interp, alpha)
     assert abs(bracket / gaussian_sobolev_norm(d, alpha, sigma) - 1.0) <= 1e-8
@@ -116,23 +133,84 @@ def test_single_point_norm_reduces_to_gaussian_norm(d, alpha, sigma):
     assert abs(power / gaussian_homogeneous_norm(d, alpha, sigma) - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("d,alpha,sigma", [(1, 1.7, 0.3), (2, 1.0, 0.12), (3, 2.5, 0.4)])
+def test_single_point_norm_reduces_to_gaussian_norm(d, alpha, sigma):
+    _check_single_point_norm(d, alpha, sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    alpha=st.floats(0.05, 8.0),
+    sigma=st.floats(1e-3, 3.0),
+)
+@example(d=1, alpha=0.05, sigma=1e-3)
+def test_single_point_norm_matches_gaussian_norm_over_parameter_box(d, alpha, sigma):
+    _check_single_point_norm(d, alpha, sigma)
+
+
 def test_pairwise_matches_grid_oracle_1d():
     interp = build_interpolant(Dataset(X=[-0.5, 0.5], Y=[0.9, 0.9]), sigma=0.15)
     fast = interpolant_sobolev_norm(interp, 1.5)
-    brute = interpolant_sobolev_norm(interp, 1.5, method="grid")
+    brute = _grid_norm(interp, 1.5, WEIGHT_BRACKET)
     assert abs(fast / brute - 1.0) <= 1e-8
 
 
 def test_pairwise_matches_grid_oracle_2d():
     interp = build_interpolant(PLANE_DATA, sigma=0.1)
     fast = interpolant_sobolev_norm(interp, 1.0)
-    brute = interpolant_sobolev_norm(interp, 1.0, method="grid")
+    brute = _grid_norm(interp, 1.0, WEIGHT_BRACKET)
     assert abs(fast / brute - 1.0) <= 1e-8
     # the pure-power weight has a kink at the origin, which caps the
     # tensor-grid rule's accuracy; the pairwise route stays radial and smooth
     fast_hom = interpolant_sobolev_norm(interp, 1.0, weight=WEIGHT_HOMOGENEOUS)
-    brute_hom = interpolant_sobolev_norm(interp, 1.0, weight=WEIGHT_HOMOGENEOUS, method="grid")
+    brute_hom = _grid_norm(interp, 1.0, WEIGHT_HOMOGENEOUS)
     assert abs(fast_hom / brute_hom - 1.0) <= 1e-5
+
+
+def test_pairwise_matches_grid_oracle_3d():
+    data = Dataset(X=[[0.0, 0.0, 0.0], [0.4, -0.2, 0.1], [-0.3, 0.3, 0.5]], Y=[1.0, -0.5, 0.8])
+    interp = build_interpolant(data, sigma=0.3)
+    fast = interpolant_sobolev_norm(interp, 1.5)
+    brute = _grid_norm(interp, 1.5, WEIGHT_BRACKET)
+    assert abs(fast / brute - 1.0) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 3]),
+    weight=st.sampled_from([WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS]),
+    alpha=st.floats(0.05, 6.0),
+    sigma=st.floats(0.02, 1.0),
+    distance=st.floats(1e-3, 3.0),
+)
+def test_pair_term_matches_oscillatory_quadrature(d, weight, alpha, sigma, distance):
+    # d = 1: 2 * integral w e cos(2 pi s r) dr; d = 3: (2 / s) * integral w e r sin(2 pi s r) dr,
+    # each against QUADPACK's Fourier-weighted rule
+    power = lambda r: (1.0 + r * r) ** (alpha / 2.0) if weight == WEIGHT_BRACKET else r**alpha
+    envelope = lambda r: power(r) * math.exp(-4.0 * math.pi**2 * sigma**2 * r * r)
+    upper = _radial_cutoff(d, alpha, sigma)
+    fn, kind, scale = (
+        (envelope, "cos", 2.0) if d == 1 else (lambda r: envelope(r) * r, "sin", 2.0 / distance)
+    )
+    with warnings.catch_warnings():
+        # QUADPACK flags roundoff once it reaches double precision
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        radial, _ = integrate.quad(
+            fn, 0.0, upper, weight=kind, wvar=2.0 * math.pi * distance, epsabs=0.0,
+            epsrel=1e-13, limit=400,
+        )
+    expected = (2.0 * math.pi) ** d * sigma ** (2 * d) * scale * radial
+    got = _pair_term(d, alpha, sigma, distance, weight)
+    assert abs(got - expected) <= 1e-9 * _pair_term(d, alpha, sigma, 0.0, weight)
+
+
+def test_panel_cap_names_count_distance_and_sigma():
+    # 1/(4 * distance) panels over a cutoff of ~1.4e4 at sigma = 1e-4: about 114k
+    interp = build_interpolant(Dataset(X=[-1.0, 1.0], Y=[1.0, 1.0]), sigma=1e-4)
+    message = r"distance 2, sigma=0\.0001 needs 11\d{4} panels, over the limit of 50000"
+    with pytest.raises(QuadratureError, match=message):
+        interpolant_sobolev_norm(interp, 1.0)
 
 
 def test_norm_validation():
@@ -141,8 +219,8 @@ def test_norm_validation():
         interpolant_sobolev_norm(interp, 0.0)
     with pytest.raises(ValueError):
         interpolant_sobolev_norm(interp, 1.0, weight="nope")
-    with pytest.raises(ValueError):
-        interpolant_sobolev_norm(interp, 1.0, method="nope")
+    with pytest.raises(ValueError, match="d <= 3"):
+        interpolant_sobolev_norm(build_interpolant(Dataset(X=np.zeros((1, 4)), Y=[1.0]), 0.3), 1.0)
 
 
 # ---------------------------------------------------------------------------
