@@ -53,10 +53,13 @@ def _parse_eval_grid(payload: dict) -> tuple[float, float, int]:
     spec = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
     if not isinstance(spec, dict) or set(spec) != {"min", "max", "points"}:
         raise ValueError(f"eval_grid needs exactly the keys min, max and points, got {spec!r}")
-    count = int(spec["points"])
+    try:
+        lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["points"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"eval_grid entries must be numbers, got {spec!r}") from exc
     if count != spec["points"]:
         raise ValueError(f"eval_grid points must be an integer, got {spec['points']!r}")
-    return _checked_grid(float(spec["min"]), float(spec["max"]), count, spec)
+    return _checked_grid(lo, hi, count, spec)
 
 
 def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: str) -> np.ndarray:
@@ -70,8 +73,18 @@ def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: st
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     values = model.evaluate(points)
     header = [f"x{i + 1}" for i in range(d)] + ["h"]
-    io.write_csv(path, header, [list(p) + [v] for p, v in zip(points, values.real)])
+    io.write_csv(path, header, np.column_stack([points, values.real]))
     return values
+
+
+def _write_decay(path: str, data: Dataset, sigmas, alpha: float, weight: str) -> None:
+    """Write the kernel interpolant's norm at each width as ``sigma,norm,dominance_margin``."""
+    rows = []
+    for sigma in sigmas:
+        interp = build_interpolant(data, sigma)
+        norm = interpolant_sobolev_norm(interp, alpha, weight=weight)
+        rows.append([sigma, norm, interp.dominance_margin])
+    io.write_csv(path, ["sigma", "norm", "dominance_margin"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +135,19 @@ class ExperimentSpec:
     delta_xi: float
     config: SolveConfig
     axis: str
-    values: tuple
+    values: tuple[float, ...]
     eval_grid: tuple[float, float, int]
     weight: str
 
 
 def parse_experiment_spec(payload: dict) -> ExperimentSpec:
+    if not isinstance(payload, dict):
+        raise ValueError("experiment spec must be a JSON object")
+    for key in ("grid", "sweep", "config"):
+        if not isinstance(payload.get(key, {}), dict):
+            raise ValueError(f"'{key}' must be a JSON object, got {payload[key]!r}")
     name = str(payload.get("name", "sweep"))
-    if "dataset" not in payload:
-        raise ValueError("experiment spec missing 'dataset'")
-    dataset = payload["dataset"]
+    dataset = payload.get("dataset")
     if isinstance(dataset, str):
         data = io.load_dataset(dataset)
     elif isinstance(dataset, dict) and "points" in dataset:
@@ -145,11 +161,14 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     axis = sweep.get("axis")
     if axis not in _SWEEP_AXES:
         raise ValueError(f"sweep.axis must be one of {_SWEEP_AXES}")
-    values = tuple(sweep.get("values", ()))
-    if not values:
-        raise ValueError("sweep.values must be nonempty")
-    if not all(np.isfinite(v) and v > 0 for v in values):
-        raise ValueError("sweep.values must be positive and finite")
+    values = sweep.get("values")
+    # type() rather than isinstance(): JSON true and false are not numbers.
+    if not isinstance(values, list) or not values or not all(
+        type(v) in (int, float) and 0 < v <= sys.float_info.max for v in values
+    ):
+        raise ValueError(f"sweep.values must be positive finite numbers, got {values!r}")
+    if axis == "M" and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"sweep.values on axis 'M' must be positive integers, got {values!r}")
     # Every config key goes to the config parser, which rejects unknown ones.
     entries = {str(key): str(value) for key, value in payload.get("config", {}).items()}
     entries.update(M=str(grid_info["M"]), delta_xi=str(grid_info["delta_xi"]))
@@ -170,38 +189,32 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         delta_xi=grid_params["delta_xi"],
         config=config,
         axis=axis,
-        values=values,
+        values=tuple(map(float, values)),
         eval_grid=eval_grid,
         weight=weight,
     )
 
 
-def _run_sweep_point(spec: ExperimentSpec, value, out_dir: str, index: int) -> dict:
+def _run_sweep_point(spec: ExperimentSpec, value: float, out_dir: str, index: int) -> dict:
     artifact = f"{spec.name}_{spec.axis}_{index:03d}.csv"
     path = os.path.join(out_dir, artifact)
     try:
         if spec.axis == "sigma":
-            interp = build_interpolant(spec.data, float(value))
-            norm = interpolant_sobolev_norm(interp, spec.config.alpha, weight=spec.weight)
-            io.write_csv(
-                path,
-                ["sigma", "norm", "dominance_margin"],
-                [[float(value), norm, interp.dominance_margin]],
-            )
+            _write_decay(path, spec.data, [value], spec.config.alpha, spec.weight)
         else:
             config = spec.config
             m = spec.grid_m
             if spec.axis == "alpha":
-                config = replace(config, alpha=float(value))
+                config = replace(config, alpha=value)
             elif spec.axis == "lambda":
-                config = replace(config, lam=float(value))
+                config = replace(config, lam=value)
             elif spec.axis == "M":
                 m = int(value)
             grid = FrequencyGrid(d=spec.data.d, M=m, delta_xi=spec.delta_xi)
             _write_reconstruction(fit(grid, spec.data, config), [spec.eval_grid], path)
-        return {"value": float(value), "status": "ok", "artifact": artifact}
+        return {"value": value, "status": "ok", "artifact": artifact}
     except Exception as exc:
-        return {"value": float(value), "status": f"error: {exc}", "artifact": None}
+        return {"value": value, "status": f"error: {exc}", "artifact": None}
 
 
 def _cmd_sweep(args) -> int:
@@ -227,7 +240,7 @@ def _cmd_closedform(args) -> int:
     lo, hi, count = _parse_grid_spec(args.grid)
     xs = np.linspace(lo, hi, count)
     values = 0.5 * args.label * closed_form.reconstruction(params, xs)
-    io.write_csv(args.output, ["x", "h"], [[x, h] for x, h in zip(xs, values)])
+    io.write_csv(args.output, ["x", "h"], np.column_stack([xs, values]))
     origin = 0.5 * args.label * float(closed_form.reconstruction(params, 0.0)[0])
     print(f"points={count} h(0)={io.format_float(origin)} z_squared={params.z_squared:.6g}")
     return 0
@@ -245,11 +258,7 @@ def _cmd_verify(args) -> int:
 def _cmd_critical(args) -> int:
     sigmas = np.logspace(np.log10(args.sigma_max), np.log10(args.sigma_min), args.count)
     sweep = trichotomy_sweep(args.dim, args.alpha, sigmas, weight=args.weight)
-    io.write_csv(
-        args.output,
-        ["sigma", "norm"],
-        [[s, n] for s, n in zip(sweep.sigmas, sweep.norms)],
-    )
+    io.write_csv(args.output, ["sigma", "norm"], np.column_stack([sweep.sigmas, sweep.norms]))
     verdict = {
         "d": sweep.d,
         "alpha": sweep.alpha,
@@ -272,13 +281,8 @@ def _cmd_subcritical(args) -> int:
         raise ValueError(f"--sigmas must be comma-separated numbers, got {args.sigmas!r}")
     if not sigmas:
         raise ValueError("--sigmas must be nonempty")
-    rows = []
-    for sigma in sigmas:
-        interp = build_interpolant(data, sigma)
-        norm = interpolant_sobolev_norm(interp, args.alpha, weight=args.weight)
-        rows.append([sigma, norm, interp.dominance_margin])
-    io.write_csv(args.output, ["sigma", "norm", "dominance_margin"], rows)
-    print(f"wrote {len(rows)} decay points to {args.output}")
+    _write_decay(args.output, data, sigmas, args.alpha, args.weight)
+    print(f"wrote {len(sigmas)} decay points to {args.output}")
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Datasets arrive as CSV (d coordinate columns then one label column, header
 row required) or as a JSON array of records whose fields mirror the same
-column layout.  Model files are a single JSON document with coefficients
-stored as (re, im) pairs in flat-index order; floats are written with
-shortest round-trip formatting so save/load/save is byte-stable.
+column layout.  CSV artifacts are float tables, JSON artifacts are compact
+single lines, and every float is written as its ``repr``.  Model files store
+(re, im) coefficient pairs in flat-index order; save/load/save is byte-stable
+and indented model files still load.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any
 
 import numpy as np
 
@@ -48,23 +48,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[list[Any]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
+def write_csv(path: str, header: list[str], table) -> None:
+    """Write an n-by-len(header) float table under ``header``, cells as ``format_float``."""
+    rows = np.asarray(table, dtype=float).reshape(-1, len(header)).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +142,10 @@ def load_dataset(path: str) -> Dataset:
 
 def dataset_from_points(points) -> Dataset:
     """Build a dataset from inline rows ``[x1, ..., xd, y]``."""
-    rows = [list(map(float, row)) for row in points]
+    try:
+        rows = [list(map(float, row)) for row in points]
+    except TypeError as exc:
+        raise ValueError(f"dataset points must be rows of numbers, got {points!r}") from exc
     return _dataset_from_rows(rows)
 
 
@@ -194,7 +189,7 @@ def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
             raise ValueError(f"config field '{field}' must be a number") from exc
 
     m_value = number("M")
-    if m_value != int(m_value) or m_value < 1:
+    if not m_value.is_integer() or m_value < 1:
         raise ValueError("config field 'M' must be a positive integer")
     grid_params = {"M": int(m_value), "delta_xi": number("delta_xi")}
 
@@ -216,6 +211,7 @@ def load_config(path: str) -> tuple[dict, SolveConfig]:
 # ---------------------------------------------------------------------------
 def model_to_dict(model: FittedModel) -> dict:
     grid = model.grid
+    values = model.coefficients.values
     return {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -228,8 +224,8 @@ def model_to_dict(model: FittedModel) -> dict:
         },
         "dataset_hash": model.dataset_hash,
         "objective": model.objective,
-        "residuals": [float(r) for r in model.residuals],
-        "coefficients": [[float(v.real), float(v.imag)] for v in model.coefficients.values],
+        "residuals": model.residuals.tolist(),
+        "coefficients": np.column_stack([values.real, values.imag]).tolist(),
     }
 
 
@@ -254,10 +250,8 @@ def model_from_dict(payload: dict) -> FittedModel:
     pairs = np.asarray(payload["coefficients"], dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("model coefficients must be (re, im) pairs")
-    values = pairs[:, 0] + 1j * pairs[:, 1]
-    coeffs = SpectralCoefficients(values=values, grid=grid)
     return FittedModel(
-        coefficients=coeffs,
+        coefficients=SpectralCoefficients(values=pairs[:, 0] + 1j * pairs[:, 1], grid=grid),
         config=config,
         dataset_hash=str(payload["dataset_hash"]),
         objective=float(payload["objective"]),

@@ -224,6 +224,7 @@ def test_sweep_unknown_config_key_exit_2(tmp_path, capsys):
         ({"min": -0.5, "max": 0.5, "pts": 11}, "'pts'"),
         ({"min": -0.5, "max": 0.5}, "needs exactly the keys"),
         ([-0.5, 0.5, 11], "needs exactly the keys"),
+        ({"min": None, "max": 0.5, "points": 11}, "must be numbers"),
     ],
 )
 def test_sweep_bad_eval_grid_exit_2(tmp_path, capsys, eval_grid, message):
@@ -249,17 +250,48 @@ def test_sweep_sigma_axis_runs_decay(tmp_path):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"sweep": {"axis": "alpha", "values": [0.5, "4"]}}, "sweep.values"),
+        ({"sweep": {"axis": "alpha", "values": "12"}}, "sweep.values"),
+        ({"sweep": {"axis": "alpha", "values": [True]}}, "sweep.values"),
+        ({"grid": 5}, "'grid'"),
+        ({"sweep": ["alpha", 0.5]}, "'sweep'"),
+        ({"config": "lambda = 1"}, "'config'"),
+        ({"config": {"alpha": 2, "lambda": 1}, "sweep": {"axis": "M", "values": [2.5]}}, "'M'"),
+        ({"dataset": {"points": [[0.0, None]]}}, "dataset points"),
+    ],
+)
+def test_sweep_malformed_spec_exit_2(tmp_path, capsys, overrides, message):
+    # an input error that names its field, before any point runs; never a truncated M
+    spec = sweep_spec(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["sweep", spec, "-d", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_spec_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps([{"name": "demo"}]), encoding="utf-8")
+    assert main(["sweep", str(path), "-d", str(tmp_path / "out")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_sweep_bad_point_recorded_not_fatal(tmp_path):
+    # M = 100000 passes the spec's checks but is over the fit's memory budget
     spec = sweep_spec(
         tmp_path,
-        config={"alpha": 2, "lambda": 1},
-        sweep={"axis": "M", "values": [4, 0.5]},
+        config={"alpha": 2, "lambda": 1, "memory_budget_mb": 2},
+        sweep={"axis": "M", "values": [4, 100000]},
     )
     out = tmp_path / "out"
     assert main(["sweep", spec, "-d", str(out)]) == 0
     manifest = json.loads((out / "demo_manifest.json").read_text(encoding="utf-8"))
     statuses = [p["status"] for p in manifest["points"]]
     assert statuses[0] == "ok" and statuses[1].startswith("error")
+    assert "memory_budget_mb" in statuses[1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +340,24 @@ def test_subcritical_command(tmp_path):
     assert lines[0] == "sigma,norm,dominance_margin"
     norms = [float(line.split(",")[1]) for line in lines[1:]]
     assert norms == sorted(norms, reverse=True)
+
+
+def test_sigma_sweep_point_writes_the_subcritical_row(tmp_path):
+    dataset = tmp_path / "pair.csv"
+    dataset.write_text("x,y\n-0.5,0.9\n0.5,0.9\n", encoding="utf-8")
+    decay = tmp_path / "decay.csv"
+    args = ["subcritical", str(dataset), "--alpha", "1", "--sigmas", "0.1,0.05", "-o", str(decay)]
+    assert main(args) == 0
+    spec = sweep_spec(
+        tmp_path,
+        dataset=str(dataset),
+        config={"alpha": 1},
+        sweep={"axis": "sigma", "values": [0.05]},
+    )
+    assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 0
+    rows = decay.read_text(encoding="utf-8").splitlines()
+    point = (tmp_path / "out" / "demo_sigma_000.csv").read_text(encoding="utf-8")
+    assert point.splitlines() == [rows[0], rows[2]]  # the header, then the sigma = 0.05 row
 
 
 def test_closedform_command(tmp_path):

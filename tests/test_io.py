@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdvar import Dataset, FrequencyGrid, SolveConfig, fit
 from fdvar import io
@@ -132,6 +135,16 @@ def test_model_roundtrip_bitstable(tmp_path):
     assert np.array_equal(loaded.residuals, model.residuals)
     io.save_model(loaded, str(second))
     assert first.read_bytes() == second.read_bytes()
+    assert first.read_text(encoding="utf-8").count("\n") == 1  # compact: one line
+    # a file in the indented layout that earlier releases wrote loads bit-identically
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(io.model_to_dict(model), indent=2) + "\n", encoding="utf-8")
+    old = io.load_model(str(indented))
+    assert old.coefficients.values.tobytes() == model.coefficients.values.tobytes()
+    assert old.residuals.tobytes() == model.residuals.tobytes()
+    resaved = tmp_path / "resaved.json"
+    io.save_model(old, str(resaved))
+    assert resaved.read_bytes() == first.read_bytes()
 
 
 def test_model_loader_ignores_removed_config_keys(tmp_path):
@@ -163,3 +176,14 @@ def test_write_csv_deterministic(tmp_path):
     assert text.splitlines()[0] == "x,y"
     # shortest round-trip decimal
     assert "0.3333333333333333" in text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=6))
+@example([[math.nan, math.inf, -math.inf], [-0.0, 5e-324, 1e16], [0.1 + 0.2, 0.0, -1.5]])
+def test_write_csv_cells_are_float_reprs(tmp_path_factory, rows):
+    # the CSV bytes are the header, then each row's cells as repr(float), whatever the value
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    io.write_csv(str(path), ["a", "b", "c"], np.array(rows, dtype=float))
+    lines = ["a,b,c"] + [",".join(repr(float(cell)) for cell in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
