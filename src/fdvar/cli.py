@@ -146,7 +146,10 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     for key in ("grid", "sweep", "config"):
         if not isinstance(payload.get(key, {}), dict):
             raise ValueError(f"'{key}' must be a JSON object, got {payload[key]!r}")
-    name = str(payload.get("name", "sweep"))
+    name = payload.get("name", "sweep")
+    # Artifact file names start with it; basename() differs if it holds a separator.
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValueError(f"'name' must be a plain file name, got {name!r}")
     dataset = payload.get("dataset")
     if isinstance(dataset, str):
         data = io.load_dataset(dataset)

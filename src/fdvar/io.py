@@ -120,6 +120,9 @@ def _load_dataset_json(path: str) -> Dataset:
         raise ValueError("dataset JSON must be an array of records")
     if not records:
         raise ValueError("dataset empty")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"dataset record {i} is not a JSON object: {record!r}")
     keys = list(records[0].keys())
     if len(keys) < 2:
         raise ValueError("dataset records need at least one coordinate and one label")
@@ -129,7 +132,10 @@ def _load_dataset_json(path: str) -> Dataset:
     for i, record in enumerate(records):
         if set(record.keys()) != set(keys):
             raise ValueError(f"dataset record {i} has mismatched fields")
-        rows.append([float(record[k]) for k in coord_keys] + [float(record[label_key])])
+        try:
+            rows.append([float(record[k]) for k in coord_keys] + [float(record[label_key])])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"dataset record {i} has a field that is not a number") from exc
     return _dataset_from_rows(rows)
 
 

@@ -7,9 +7,10 @@ up to cross terms, so the norm collapses for ``alpha < d`` and blows up for
 ``alpha > d`` while interpolating the data exactly throughout.
 
 Each cross term of the norm is one polar radial integral, whose angular
-mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3.  A brute
-tensor-grid quadrature, ``_grid_norm``, is kept as a private oracle for the
-tests.
+mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3; it is
+``critical._pair_term``, on the panel rule that also computes the Gaussian
+envelope's norm.  A brute tensor-grid quadrature, ``_grid_norm``, is kept
+as a private oracle for the tests; it forms the weight ``w(r)`` directly.
 """
 
 from __future__ import annotations
@@ -19,25 +20,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.special import j0
 
 from .core import Dataset, _as_points
-from .critical import (
-    GAUSS_RATE,
-    WEIGHT_BRACKET,
-    WEIGHT_HOMOGENEOUS,
-    log_log_slope,
-    sphere_area,
-)
+from .critical import GAUSS_RATE, WEIGHT_BRACKET, log_log_slope
+from .critical import _ANGULAR_MEAN, _pair_term, _radial_cutoff, _validate_norm_args
 from .errors import QuadratureError, SolverError
 
 _INTERPOLATION_TOL = 1e-10
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
 _MAX_GRID_POINTS = 40_000_000
-_MAX_PANELS = 50_000
-# Edges of the first panel's split, as fractions of its width: 8^-10 .. 8^-1.
-_ORIGIN_GRADING = 8.0 ** -np.arange(10, 0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -104,75 +94,6 @@ def evaluate_interpolant(interp: GaussianInterpolant, points) -> np.ndarray:
     return float(values[0]) if squeeze else values
 
 
-def _weight_function(alpha: float, weight: str):
-    if weight == WEIGHT_BRACKET:
-        return lambda r: (1.0 + r * r) ** (alpha / 2.0)
-    if weight == WEIGHT_HOMOGENEOUS:
-        return lambda r: r**alpha
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def _radial_cutoff(d: int, alpha: float, sigma: float) -> float:
-    # Gaussian tail exp(-4 pi^2 sigma^2 R^2) below ~1e-26 even after the
-    # polynomial weight growth.
-    return math.sqrt(60.0 + 10.0 * (alpha + d)) / (2.0 * math.pi * sigma)
-
-
-def _panel_integral(fn, upper: float, oscillation: float, sigma: float) -> float:
-    """Composite 16-point Gauss-Legendre with panels resolving the fastest scale.
-
-    The first panel is split geometrically toward the origin, where the
-    homogeneous weight ``r^alpha`` has a kink and the bracket weight varies on
-    the unit scale.
-    """
-    scales = [upper / 8.0, 1.0 / (4.0 * math.pi * sigma)]
-    if oscillation > 0:
-        scales.append(1.0 / (4.0 * oscillation))
-    panel = min(scales)
-    n_panels = int(math.ceil(upper / panel))
-    if n_panels > _MAX_PANELS:
-        raise QuadratureError(
-            f"pairwise radial integral at distance {oscillation:g}, sigma={sigma:g} needs "
-            f"{n_panels} panels, over the limit of {_MAX_PANELS}"
-        )
-    edges = np.linspace(0.0, upper, n_panels + 1)
-    edges = np.concatenate([[0.0], edges[1] * _ORIGIN_GRADING, edges[1:]])
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    r = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return float(np.sum(w * fn(r)))
-
-
-# Angular mean of ``cos(t u . e)`` over unit vectors ``u`` in R^d.
-_ANGULAR_MEAN = {
-    1: np.cos,
-    2: j0,
-    3: lambda t: np.sinc(t / np.pi),
-}
-
-
-def _pair_term(d: int, alpha: float, sigma: float, distance: float, weight: str) -> float:
-    """``integral w(||xi||) psi_sigma(xi)^2 cos(2 pi xi . v) dxi`` for ``||v|| = distance``.
-
-    In polar form it is ``(2 pi)^d sigma^(2d) omega_d * integral_0^R w(r)
-    exp(-4 pi^2 sigma^2 r^2) r^(d-1) m_d(2 pi r distance) dr``, with ``m_d``
-    the angular mean of cos; ``m_d(0) = 1`` makes distance 0 no special case.
-    """
-    wf = _weight_function(alpha, weight)
-    mean = _ANGULAR_MEAN[d]
-    radial = _panel_integral(
-        lambda r: wf(r)
-        * np.exp(-GAUSS_RATE * sigma * sigma * r * r)
-        * r ** (d - 1)
-        * mean(2.0 * np.pi * distance * r),
-        _radial_cutoff(d, alpha, sigma),
-        distance,
-        sigma,
-    )
-    return (2.0 * math.pi) ** d * sigma ** (2 * d) * sphere_area(d) * radial
-
-
 def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
     d = interp.data.d
     if d > 3:
@@ -188,7 +109,6 @@ def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
             f"grid quadrature needs {axis.size**d:.2e} points, over the limit of "
             f"{_MAX_GRID_POINTS:.0e}; use a wider sigma or points nearer the origin"
         )
-    wf = _weight_function(alpha, weight)
     prefactor = (2.0 * math.pi) ** d * sigma ** (2 * d)
     total = 0.0
     # Chunk along the first axis, about 2**18 grid points at a time: the
@@ -200,7 +120,9 @@ def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:
         xi = np.stack([m.ravel() for m in mesh], axis=1)
         sq = np.sum(xi * xi, axis=1)
         phases = np.exp(-2j * np.pi * (xi @ interp.data.X.T)) @ interp.coefficients
-        integrand = wf(np.sqrt(sq)) * np.exp(-GAUSS_RATE * sigma * sigma * sq) * np.abs(phases) ** 2
+        # The weight as w(r) itself, not the panel rule's exponent.
+        w = (1.0 + sq if weight == WEIGHT_BRACKET else sq) ** (alpha / 2.0)
+        integrand = w * np.exp(-GAUSS_RATE * sigma * sigma * sq) * np.abs(phases) ** 2
         total += float(np.sum(integrand))
     return prefactor * total * spacing**d
 
@@ -213,8 +135,7 @@ def interpolant_sobolev_norm(
     ``weight`` selects the bracket ``(1+||xi||^2)^(alpha/2)`` or the
     pure-power ``||xi||^alpha`` density.
     """
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be positive")
+    _validate_norm_args(interp.data.d, alpha, interp.sigma)
     X = interp.data.X
     g = interp.coefficients
     d = interp.data.d
@@ -225,7 +146,12 @@ def interpolant_sobolev_norm(
     # One radial integral per distinct distance (to 12 decimals).
     keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
     terms = np.array([_pair_term(d, alpha, interp.sigma, float(key), weight) for key in keys])
-    return float(g @ terms[inverse].reshape(distances.shape) @ g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(g @ terms[inverse].reshape(distances.shape) @ g)
+    if not math.isfinite(norm):  # every term is finite, but large labels can overflow the sum
+        where = f"interpolant norm at d={d}, alpha={alpha:g}, sigma={interp.sigma:g}"
+        raise QuadratureError(f"{where} is {norm:g}, not a finite double")
+    return norm
 
 
 @dataclass(frozen=True)

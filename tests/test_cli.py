@@ -55,6 +55,21 @@ def test_fit_empty_dataset_exits_2(workspace, capsys):
     assert "dataset empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        ([1, 2], "record 0 is not a JSON object"),
+        ([{"x": 0.0, "y": 1.0}, {"x": 0.5, "y": None}], "record 1 has a field that is not"),
+    ],
+)
+def test_fit_malformed_json_dataset_exits_2(workspace, capsys, records, message):
+    (workspace / "bad.json").write_text(json.dumps(records), encoding="utf-8")
+    args = ["fit", str(workspace / "config.txt"), str(workspace / "bad.json")]
+    assert main(args + ["-o", str(workspace / "model.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "model.json").exists()
+
+
 def test_fit_missing_alpha_named(workspace, capsys):
     (workspace / "config.txt").write_text(
         "lambda = 1\nM = 10\ndelta_xi = 0.1\n", encoding="utf-8"
@@ -261,6 +276,9 @@ def test_sweep_sigma_axis_runs_decay(tmp_path):
         ({"config": "lambda = 1"}, "'config'"),
         ({"config": {"alpha": 2, "lambda": 1}, "sweep": {"axis": "M", "values": [2.5]}}, "'M'"),
         ({"dataset": {"points": [[0.0, None]]}}, "dataset points"),
+        ({"name": "a/b"}, "'name'"),
+        ({"name": [1]}, "'name'"),
+        ({"name": ""}, "'name'"),
     ],
 )
 def test_sweep_malformed_spec_exit_2(tmp_path, capsys, overrides, message):
@@ -340,6 +358,37 @@ def test_subcritical_command(tmp_path):
     assert lines[0] == "sigma,norm,dominance_margin"
     norms = [float(line.split(",")[1]) for line in lines[1:]]
     assert norms == sorted(norms, reverse=True)
+
+
+def _assert_named_overflow(capsys):
+    # the error names the failing norm; nothing nonfinite reaches stdout
+    out, err = capsys.readouterr()
+    assert "alpha=" in err and "sigma=" in err and "not a finite positive double" in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+def test_subcritical_overflow_exits_3(tmp_path, capsys):
+    # (0.1)^(1 - 300) times a moment of order 300 is past the largest double
+    (tmp_path / "two.csv").write_text("x,y\n-0.5,0.9\n0.5,0.9\n", encoding="utf-8")
+    decay = tmp_path / "decay.csv"
+    args = ["subcritical", str(tmp_path / "two.csv"), "--alpha", "300", "--sigmas", "0.1,0.05"]
+    assert main(args + ["-o", str(decay)]) == 3
+    assert not decay.exists()
+    _assert_named_overflow(capsys)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        ["--alpha", "300", "--sigma-max", "0.3", "--sigma-min", "0.1", "--count", "3"],
+        ["--alpha", "400", "--weight", "homogeneous"],
+    ],
+)
+def test_critical_overflow_exits_3(tmp_path, capsys, sweep):
+    out = ["-o", str(tmp_path / "c.csv"), "--verdict", str(tmp_path / "v.json")]
+    assert main(["critical", "--dim", "1"] + sweep + out) == 3
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "v.json").exists()
+    _assert_named_overflow(capsys)
 
 
 def test_sigma_sweep_point_writes_the_subcritical_row(tmp_path):

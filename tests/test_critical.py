@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from fdvar import (
     critical_constant,
@@ -12,7 +13,13 @@ from fdvar import (
     sphere_area,
     trichotomy_sweep,
 )
-from fdvar.critical import GAUSS_RATE, WEIGHT_HOMOGENEOUS, _quad, log_log_slope
+from fdvar.critical import GAUSS_RATE, WEIGHT_HOMOGENEOUS, log_log_slope
+
+
+def _quadpack(fn, lo, hi):
+    # a reference independent of the package's panel rule
+    value, _ = integrate.quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=400)
+    return value
 
 
 def test_sphere_areas():
@@ -60,6 +67,19 @@ def test_sobolev_norm_halving_slopes():
     assert abs(e / c - 4.0) < 0.05
 
 
+def test_sobolev_norm_at_large_alpha():
+    # mpmath at 40 digits: 4 pi * quad((1 + r^2)^300 exp(-4 pi^2 r^2), [0, inf]),
+    # which the binomial sum of Gaussian moments matches to 39 digits
+    reference = 3.2742035920159305e151
+    assert abs(gaussian_sobolev_norm(1, 600.0, 1.0) / reference - 1.0) <= 1e-12
+
+
+def test_homogeneous_norm_past_gamma_overflow():
+    # Gamma(200.5) overflows a double, the norm Gamma(200.5) / (2 pi)^400 does not;
+    # mpmath at 40 digits gives 2.9795787288481339e54
+    assert abs(gaussian_homogeneous_norm(1, 400.0, 1.0) / 2.9795787288481339e54 - 1.0) <= 1e-12
+
+
 def test_homogeneous_norm_critical_sigma_independence():
     for d in (1, 2, 3):
         values = [gaussian_homogeneous_norm(d, float(d), s) for s in (1.0, 1e-2, 1e-4)]
@@ -88,18 +108,18 @@ def test_bracket_integral_bounds():
     # for sigma < 1 the sigma-dependent radial factor sits between the
     # homogeneous integral and its loosened two-piece bound
     for d, alpha, sigma in [(2, 3.0, 0.5), (1, 2.0, 0.9)]:
-        bracket = _quad(
+        bracket = _quadpack(
             lambda r: r ** (d - 1)
             * (sigma**2 + r**2) ** (alpha / 2.0)
             * math.exp(-GAUSS_RATE * r * r),
             0.0,
             3.0,
         )
-        lower = _quad(
+        lower = _quadpack(
             lambda r: r ** (alpha + d - 1) * math.exp(-GAUSS_RATE * r * r), 0.0, 3.0
         )
         upper = (
-            _quad(
+            _quadpack(
                 lambda r: r ** (d - 1)
                 * (1.0 + r * r) ** (alpha / 2.0)
                 * math.exp(-GAUSS_RATE * r * r),

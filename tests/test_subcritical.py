@@ -17,9 +17,10 @@ from fdvar import (
     gaussian_homogeneous_norm,
     gaussian_sobolev_norm,
     interpolant_sobolev_norm,
+    sphere_area,
 )
-from fdvar.critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS
-from fdvar.subcritical import _grid_norm, _pair_term, _radial_cutoff
+from fdvar.critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, _pair_term, _radial_cutoff
+from fdvar.subcritical import _grid_norm
 
 PLANE_DATA = Dataset(
     X=[[-1.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [1.5, 0.5]],
@@ -124,11 +125,22 @@ def test_dominance_margin_positive_at_small_widths():
 # ---------------------------------------------------------------------------
 # spectral norms
 # ---------------------------------------------------------------------------
+def _bracket_norm_by_quadpack(d, alpha, sigma):
+    # (2 pi)^d sigma^(d-alpha) omega_d * integral rho^(d-1) (sigma^2 + rho^2)^(alpha/2)
+    # exp(-4 pi^2 rho^2) drho, by QUADPACK rather than the package's panel rule
+    radial, _ = integrate.quad(
+        lambda rho: rho ** (d - 1) * (sigma**2 + rho**2) ** (alpha / 2.0)
+        * math.exp(-4.0 * math.pi**2 * rho**2),
+        0.0, max(3.0, 2.0 * sigma), epsabs=0.0, epsrel=1e-12, limit=400,
+    )
+    return (2.0 * math.pi) ** d * sigma ** (d - alpha) * sphere_area(d) * radial
+
+
 def _check_single_point_norm(d, alpha, sigma):
-    # the homogeneous reference is exact; the bracket one is adaptive quadrature
+    # the homogeneous reference is exact; the bracket one is QUADPACK
     interp = build_interpolant(Dataset(X=np.zeros((1, d)), Y=[1.0]), sigma)
     bracket = interpolant_sobolev_norm(interp, alpha)
-    assert abs(bracket / gaussian_sobolev_norm(d, alpha, sigma) - 1.0) <= 1e-8
+    assert abs(bracket / _bracket_norm_by_quadpack(d, alpha, sigma) - 1.0) <= 1e-8
     power = interpolant_sobolev_norm(interp, alpha, weight=WEIGHT_HOMOGENEOUS)
     assert abs(power / gaussian_homogeneous_norm(d, alpha, sigma) - 1.0) <= 1e-8
 
@@ -203,6 +215,44 @@ def test_pair_term_matches_oscillatory_quadrature(d, weight, alpha, sigma, dista
     expected = (2.0 * math.pi) ** d * sigma ** (2 * d) * scale * radial
     got = _pair_term(d, alpha, sigma, distance, weight)
     assert abs(got - expected) <= 1e-9 * _pair_term(d, alpha, sigma, 0.0, weight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    weight=st.sampled_from([WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS]),
+    alpha=st.floats(0.05, 1000.0),
+    sigma=st.floats(1e-4, 3.0),
+)
+@example(d=1, weight=WEIGHT_BRACKET, alpha=300.0, sigma=0.1)
+@example(d=1, weight=WEIGHT_HOMOGENEOUS, alpha=400.0, sigma=10**-1.25)
+@example(d=3, weight=WEIGHT_BRACKET, alpha=1000.0, sigma=3.0)
+def test_norms_finite_positive_or_quadrature_error(d, weight, alpha, sigma):
+    # extreme alpha overflows or underflows a double: that must be a
+    # QuadratureError, never nan, inf, OverflowError or a RuntimeWarning
+    envelope = gaussian_sobolev_norm if weight == WEIGHT_BRACKET else gaussian_homogeneous_norm
+    X = np.zeros((2, d))
+    X[1, 0] = 1.0
+    interp = build_interpolant(Dataset(X=X, Y=[1.0, 0.5]), sigma)
+    norms = [
+        lambda: envelope(d, alpha, sigma),
+        lambda: interpolant_sobolev_norm(interp, alpha, weight=weight),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for norm in norms:
+            try:
+                value = norm()
+            except QuadratureError:
+                continue
+            assert math.isfinite(value) and value > 0
+
+
+def test_interpolant_norm_overflow_from_large_labels():
+    # every pair term is finite; the labels' square takes the sum past a double
+    interp = build_interpolant(Dataset(X=[0.0], Y=[1e200]), sigma=0.3)
+    with pytest.raises(QuadratureError, match=r"alpha=1, sigma=0\.3 is inf"):
+        interpolant_sobolev_norm(interp, 1.0)
 
 
 def test_panel_cap_names_count_distance_and_sigma():
