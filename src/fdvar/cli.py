@@ -20,11 +20,12 @@ import numpy as np
 
 from . import closed_form, io
 from .core import Dataset, SolveConfig
-from .critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, critical_constant, trichotomy_sweep
+from .critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, checked_widths, critical_constant
+from .critical import trichotomy_sweep
 from .errors import CapacityError, QuadratureError, SolverError
 from .grid import FrequencyGrid
 from .solver import fit
-from .subcritical import build_interpolant, interpolant_sobolev_norm
+from .subcritical import build_interpolant, decay_sweep, interpolant_sobolev_norm
 from .verify import run_verification
 
 _EVAL_IMAG_TOL = 1e-8
@@ -77,14 +78,10 @@ def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: st
     return values
 
 
-def _write_decay(path: str, data: Dataset, sigmas, alpha: float, weight: str) -> None:
-    """Write the kernel interpolant's norm at each width as ``sigma,norm,dominance_margin``."""
-    rows = []
-    for sigma in sigmas:
-        interp = build_interpolant(data, sigma)
-        norm = interpolant_sobolev_norm(interp, alpha, weight=weight)
-        rows.append([sigma, norm, interp.dominance_margin])
-    io.write_csv(path, ["sigma", "norm", "dominance_margin"], rows)
+def _write_decay(path: str, sigmas, norms, margins) -> None:
+    """Write kernel-interpolant norms by width as ``sigma,norm,dominance_margin``."""
+    table = np.column_stack([sigmas, norms, margins])
+    io.write_csv(path, ["sigma", "norm", "dominance_margin"], table)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,9 @@ def _run_sweep_point(spec: ExperimentSpec, value: float, out_dir: str, index: in
     path = os.path.join(out_dir, artifact)
     try:
         if spec.axis == "sigma":
-            _write_decay(path, spec.data, [value], spec.config.alpha, spec.weight)
+            interp = build_interpolant(spec.data, value)
+            norm = interpolant_sobolev_norm(interp, spec.config.alpha, weight=spec.weight)
+            _write_decay(path, [value], [norm], [interp.dominance_margin])
         else:
             config = spec.config
             m = spec.grid_m
@@ -259,6 +258,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_critical(args) -> int:
+    checked_widths([args.sigma_max, args.sigma_min], 2)  # before np.log10 warns on them
     sigmas = np.logspace(np.log10(args.sigma_max), np.log10(args.sigma_min), args.count)
     sweep = trichotomy_sweep(args.dim, args.alpha, sigmas, weight=args.weight)
     io.write_csv(args.output, ["sigma", "norm"], np.column_stack([sweep.sigmas, sweep.norms]))
@@ -282,10 +282,9 @@ def _cmd_subcritical(args) -> int:
         sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
     except ValueError:
         raise ValueError(f"--sigmas must be comma-separated numbers, got {args.sigmas!r}")
-    if not sigmas:
-        raise ValueError("--sigmas must be nonempty")
-    _write_decay(args.output, data, sigmas, args.alpha, args.weight)
-    print(f"wrote {len(sigmas)} decay points to {args.output}")
+    sweep = decay_sweep(data, args.alpha, sigmas, weight=args.weight)
+    _write_decay(args.output, sweep.sigmas, sweep.norms, sweep.margins)
+    print(f"points={len(sweep.sigmas)} fitted_slope={io.format_float(sweep.fitted_slope)}")
     return 0
 
 

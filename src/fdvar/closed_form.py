@@ -106,12 +106,6 @@ def coefficients(params: ClosedFormParams) -> np.ndarray:
     return params.inverse_weights() / ((params.z_squared + params.lam) * params.delta_xi)
 
 
-def coefficient(params: ClosedFormParams, j: int) -> float:
-    if not 1 <= j <= params.M:
-        raise ValueError(f"mode index {j} outside 1..{params.M}")
-    return float(coefficients(params)[j - 1])
-
-
 def reconstruction(params: ClosedFormParams, x) -> np.ndarray:
     """``(2 / (Z^2 + lam)) * sum_j w_j^-1 cos(2*pi*j*x)``, even in ``x``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -7,6 +7,11 @@ one-dimensional radial integral against ``exp(-4 pi^2 r^2)``.  As
 ``alpha > d``, and converges to a dimension-only constant at ``alpha = d``.
 Every radial integral, including ``subcritical``'s pair terms, runs on one
 panel rule; a norm that is not a finite positive double is a ``QuadratureError``.
+
+``trichotomy_sweep`` here and ``subcritical.decay_sweep`` are the only loops
+over widths, and ``checked_widths`` is their one rule: at least k widths,
+each positive and finite, strictly decreasing (k = 3 and 2).  ``fdvar
+critical`` applies it to its two ends before taking their logarithms.
 """
 
 from __future__ import annotations
@@ -176,10 +181,28 @@ def gaussian_homogeneous_norm(d: int, alpha: float, sigma: float) -> float:
     return value
 
 
+def checked_widths(sigmas, count: int) -> np.ndarray:
+    """``sigmas`` as floats: at least ``count`` widths, positive, finite, strictly decreasing."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.size < count:
+        raise ValueError(f"need at least {count} sigma values, got {sigmas.tolist()}")
+    if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
+        raise ValueError(f"sigmas must be positive and finite, got {sigmas.tolist()}")
+    if np.any(np.diff(sigmas) >= 0):
+        raise ValueError(f"sigmas must be strictly decreasing, got {sigmas.tolist()}")
+    return sigmas
+
+
 def log_log_slope(x, y) -> float:
-    """Least-squares slope of ``log y`` against ``log x``."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
+    """Least-squares slope of ``log y`` against ``log x``, all positive and finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(x) & (x > 0) & np.isfinite(y) & (y > 0)))
+    if bad.size:
+        at, value = float(x[bad[0]]), float(y[bad[0]])
+        raise ValueError(f"log-log slope needs positive finite values, got y = {value} at x = {at}")
+    lx = np.log(x)
+    ly = np.log(y)
     lx = lx - lx.mean()
     return float(np.sum(lx * (ly - ly.mean())) / np.sum(lx * lx))
 
@@ -203,13 +226,7 @@ def trichotomy_sweep(d: int, alpha: float, sigmas, weight: str = WEIGHT_BRACKET)
     within 1% of the critical constant to count as convergent.  A flat sweep
     that misses the constant is reported as ``indeterminate``.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.size < 3:
-        raise ValueError("need at least 3 sigma values")
-    if np.any(sigmas <= 0) or not np.all(np.isfinite(sigmas)):
-        raise ValueError("sigmas must be positive and finite")
-    if np.any(np.diff(sigmas) >= 0):
-        raise ValueError("sigmas must be strictly decreasing")
+    sigmas = checked_widths(sigmas, 3)
     if weight == WEIGHT_BRACKET:
         norm_fn = gaussian_sobolev_norm
     elif weight == WEIGHT_HOMOGENEOUS:

@@ -1,9 +1,10 @@
 """Truncated symmetric frequency lattices.
 
 A grid is the set of frequencies ``delta_xi * J`` for integer multi-indices
-``J`` in ``{-M, ..., M}^d``.  Flat indexing is row-major with axis 0 slowest
-and each axis ascending from ``-M``, so index 0 is ``(-M, ..., -M)`` and the
-last index is ``(M, ..., M)``.
+``J`` in ``{-M, ..., M}^d``.  ``lattice()`` lists them row-major with axis 0
+slowest and each axis ascending from ``-M``, so its first row is
+``(-M, ..., -M)`` and its last ``(M, ..., M)``; every per-frequency array
+(weights, phase columns, coefficients) follows that flat order.
 """
 
 from __future__ import annotations
@@ -36,29 +37,6 @@ class FrequencyGrid:
     @property
     def size(self) -> int:
         return self.axis_points**self.d
-
-    def flat_index(self, J) -> int:
-        """Flat position of the multi-index ``J`` (one entry per axis)."""
-        J = tuple(int(j) for j in np.atleast_1d(J))
-        if len(J) != self.d:
-            raise ValueError(f"expected {self.d} lattice components, got {len(J)}")
-        k = 0
-        for j in J:
-            if j < -self.M or j > self.M:
-                raise ValueError(f"lattice component {j} outside [-{self.M}, {self.M}]")
-            k = k * self.axis_points + (j + self.M)
-        return k
-
-    def lattice_index(self, k: int) -> tuple[int, ...]:
-        """Multi-index stored at flat position ``k``."""
-        k = int(k)
-        if k < 0 or k >= self.size:
-            raise ValueError(f"flat index {k} outside [0, {self.size})")
-        out = []
-        for _ in range(self.d):
-            out.append(k % self.axis_points - self.M)
-            k //= self.axis_points
-        return tuple(reversed(out))
 
     def lattice(self) -> np.ndarray:
         """All multi-indices as an ``(size, d)`` integer array in flat order."""

@@ -11,6 +11,11 @@ mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3; it is
 ``critical._pair_term``, on the panel rule that also computes the Gaussian
 envelope's norm.  A brute tensor-grid quadrature, ``_grid_norm``, is kept
 as a private oracle for the tests; it forms the weight ``w(r)`` directly.
+
+``decay_sweep`` is the one loop over interpolant widths; ``fdvar
+subcritical`` and ``fdvar verify`` run it.  Its widths pass
+``critical.checked_widths``, and norms without a log-log slope, such as the
+zero norms of all-zero labels, raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, _as_points
-from .critical import GAUSS_RATE, WEIGHT_BRACKET, log_log_slope
+from .critical import GAUSS_RATE, WEIGHT_BRACKET, checked_widths, log_log_slope
 from .critical import _ANGULAR_MEAN, _pair_term, _radial_cutoff, _validate_norm_args
 from .errors import QuadratureError, SolverError
 
@@ -165,12 +170,8 @@ class DecaySweep:
 
 
 def decay_sweep(data: Dataset, alpha: float, sigmas, weight: str = WEIGHT_BRACKET) -> DecaySweep:
-    """Interpolate at each sigma and track norm and dominance margin."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.size < 2:
-        raise ValueError("need at least 2 sigma values")
-    if np.any(np.diff(sigmas) >= 0) or np.any(sigmas <= 0):
-        raise ValueError("sigmas must be strictly decreasing and positive")
+    """Interpolate at each of at least two decreasing widths; track norm and dominance margin."""
+    sigmas = checked_widths(sigmas, 2)
     norms = []
     margins = []
     for sigma in sigmas:

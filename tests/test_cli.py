@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdvar.cli import main
+from fdvar.critical import log_log_slope
 from fdvar.io import load_model
 
 CONFIG = """
@@ -336,7 +337,17 @@ def test_critical_command(tmp_path, capsys):
     assert lines[0] == "sigma,norm" and len(lines) == 10
 
 
-def test_subcritical_command(tmp_path):
+@pytest.mark.parametrize("ends", [["--sigma-max", "-0.1"], ["--sigma-min", "0"]])
+def test_critical_checks_width_ends_before_log(tmp_path, capsys, ends):
+    # the width rule runs before np.log10, which would warn on these ends
+    out = tmp_path / "c.csv"
+    assert main(["critical", "--dim", "1", "--alpha", "1", *ends, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sigmas must be positive and finite, got [" in err and ends[1] in err
+    assert "RuntimeWarning" not in err and not out.exists()
+
+
+def test_subcritical_command(tmp_path, capsys):
     (tmp_path / "plane.csv").write_text(
         "x1,x2,y\n-1.5,0.5,1.0\n-0.5,0.5,0.9\n0.5,0.5,0.9\n1.5,0.5,1.0\n",
         encoding="utf-8",
@@ -356,8 +367,29 @@ def test_subcritical_command(tmp_path):
     assert code == 0
     lines = (tmp_path / "decay.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "sigma,norm,dominance_margin"
-    norms = [float(line.split(",")[1]) for line in lines[1:]]
-    assert norms == sorted(norms, reverse=True)
+    table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    assert list(table[:, 1]) == sorted(table[:, 1], reverse=True)
+    # stdout carries the sweep's log-log slope of the written norms
+    slope = log_log_slope(table[:, 0], table[:, 1])
+    assert capsys.readouterr().out == f"points=3 fitted_slope={slope!r}\n"
+
+
+@pytest.mark.parametrize(
+    "label,sigmas,message",
+    [
+        ("0.9", "0.05,0.1", "strictly decreasing"),
+        ("0.9", "0.1", "at least 2 sigma values"),
+        ("0", "0.1,0.05", "got y = 0.0 at x = 0.1"),  # all-zero labels: zero norms, no slope
+    ],
+    ids=["increasing", "one-width", "zero-labels"],
+)
+def test_subcritical_bad_sweep_exits_2(tmp_path, capsys, label, sigmas, message):
+    (tmp_path / "pair.csv").write_text(f"x,y\n-0.5,{label}\n0.5,{label}\n", encoding="utf-8")
+    decay = tmp_path / "decay.csv"
+    args = ["subcritical", str(tmp_path / "pair.csv"), "--alpha", "1", "--sigmas", sigmas]
+    assert main(args + ["-o", str(decay)]) == 2
+    assert message in capsys.readouterr().err
+    assert not decay.exists()
 
 
 def _assert_named_overflow(capsys):

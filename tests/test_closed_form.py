@@ -21,14 +21,11 @@ def test_z_squared_hand_value_and_recompute():
     assert math.isclose(params.z_squared, recomputed, rel_tol=1e-14)
 
 
-def test_coefficient_hand_value_and_range_check():
-    params = make_params()
-    assert math.isclose(closed_form.coefficient(params, 1), 0.5 / 1.7)
-    assert math.isclose(closed_form.coefficient(params, 2), 0.2 / 1.7)
-    with pytest.raises(ValueError):
-        closed_form.coefficient(params, 0)
-    with pytest.raises(ValueError):
-        closed_form.coefficient(params, 3)
+def test_coefficient_hand_values():
+    phi = closed_form.coefficients(make_params())
+    assert phi.shape == (2,)
+    assert math.isclose(phi[0], 0.5 / 1.7)
+    assert math.isclose(phi[1], 0.2 / 1.7)
 
 
 def test_coefficients_decrease_and_high_alpha_suppression():
@@ -36,7 +33,8 @@ def test_coefficients_decrease_and_high_alpha_suppression():
     phi = closed_form.coefficients(params)
     assert np.all(np.diff(phi) < 0)
     sharp = make_params(M=6, alpha=40.0)
-    ratios = closed_form.coefficients(sharp) / closed_form.coefficient(sharp, 1)
+    phi_sharp = closed_form.coefficients(sharp)
+    ratios = phi_sharp / phi_sharp[0]
     assert np.all(ratios[1:] < 1e-6)
 
 

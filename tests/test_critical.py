@@ -179,6 +179,22 @@ def test_sweep_homogeneous_weight_slope_exact():
     assert sweep.classification == "diverges"
 
 
+@pytest.mark.parametrize(
+    "x,y,message",
+    [
+        ([1.0, 2.0], [1.0, 0.0], "got y = 0.0 at x = 2.0"),
+        ([1.0, 2.0], [1.0, -3.0], "got y = -3.0 at x = 2.0"),
+        ([1.0, 2.0], [np.nan, 1.0], "got y = nan at x = 1.0"),
+        ([0.0, 2.0], [1.0, 1.0], "got y = 1.0 at x = 0.0"),
+        ([1.0, np.inf], [1.0, 1.0], "got y = 1.0 at x = inf"),
+    ],
+    ids=["zero", "negative", "nan", "zero-x", "inf-x"],
+)
+def test_log_log_slope_names_a_value_without_a_logarithm(x, y, message):
+    with pytest.raises(ValueError, match=f"positive finite values, {message}"):
+        log_log_slope(x, y)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         trichotomy_sweep(1, 1.0, [0.1, 0.01])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from fdvar import (
     Dataset,
@@ -190,7 +190,7 @@ def test_pairwise_matches_grid_oracle_3d():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    d=st.sampled_from([1, 3]),
+    d=st.sampled_from([1, 2, 3]),
     weight=st.sampled_from([WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS]),
     alpha=st.floats(0.05, 6.0),
     sigma=st.floats(0.02, 1.0),
@@ -198,20 +198,21 @@ def test_pairwise_matches_grid_oracle_3d():
 )
 def test_pair_term_matches_oscillatory_quadrature(d, weight, alpha, sigma, distance):
     # d = 1: 2 * integral w e cos(2 pi s r) dr; d = 3: (2 / s) * integral w e r sin(2 pi s r) dr,
-    # each against QUADPACK's Fourier-weighted rule
+    # each against QUADPACK's Fourier-weighted rule; d = 2: 2 pi * integral w e r J0(2 pi s r) dr
+    # by plain QUADPACK, whose Fourier weights have no J0
     power = lambda r: (1.0 + r * r) ** (alpha / 2.0) if weight == WEIGHT_BRACKET else r**alpha
     envelope = lambda r: power(r) * math.exp(-4.0 * math.pi**2 * sigma**2 * r * r)
     upper = _radial_cutoff(d, alpha, sigma)
-    fn, kind, scale = (
-        (envelope, "cos", 2.0) if d == 1 else (lambda r: envelope(r) * r, "sin", 2.0 / distance)
-    )
+    turn = 2.0 * math.pi * distance
+    fn, rule, scale = {
+        1: (envelope, {"weight": "cos", "wvar": turn, "limit": 400}, 2.0),
+        2: (lambda r: envelope(r) * r * special.j0(turn * r), {"limit": 4000}, 2.0 * math.pi),
+        3: (lambda r: envelope(r) * r, {"weight": "sin", "wvar": turn, "limit": 400}, 2 / distance),
+    }[d]
     with warnings.catch_warnings():
         # QUADPACK flags roundoff once it reaches double precision
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        radial, _ = integrate.quad(
-            fn, 0.0, upper, weight=kind, wvar=2.0 * math.pi * distance, epsabs=0.0,
-            epsrel=1e-13, limit=400,
-        )
+        radial, _ = integrate.quad(fn, 0.0, upper, epsabs=0.0, epsrel=1e-13, **rule)
     expected = (2.0 * math.pi) ** d * sigma ** (2 * d) * scale * radial
     got = _pair_term(d, alpha, sigma, distance, weight)
     assert abs(got - expected) <= 1e-9 * _pair_term(d, alpha, sigma, 0.0, weight)
@@ -302,3 +303,5 @@ def test_decay_sweep_validation():
         decay_sweep(PLANE_DATA, 1.0, [0.1])
     with pytest.raises(ValueError):
         decay_sweep(PLANE_DATA, 1.0, [0.05, 0.1])
+    with pytest.raises(ValueError, match=r"got y = 0\.0 at x = 0\.1"):  # zero norms have no slope
+        decay_sweep(Dataset(X=[-0.5, 0.5], Y=[0.0, 0.0]), 1.0, [0.1, 0.05])
