@@ -57,10 +57,7 @@ def _cosine_sum(series: np.ndarray, x: np.ndarray) -> np.ndarray:
     and the sum is ``Re(sum_q coarse_q * (fine @ S)_q)``, where ``S[r, q]``
     holds the series at ``j = q*B + r`` (zero at ``j = 0`` and past ``N``).
     A point costs about ``2*sqrt(N+1)`` cosines and sines and one row of a
-    real GEMM, in place of ``N`` cosines.  The fine table, the coarse table
-    and the partial sums of one point block share one workspace of at most
-    1 MiB, under the 4 MiB bound of ``core.point_evaluations`` (the
-    mmap-threshold reason given there).  This path builds its own tables,
+    real GEMM, in place of ``N`` cosines.  This path builds its own tables,
     apart from ``FrequencyGrid``, so that it stays an independent oracle for
     the solver.
     """
@@ -72,32 +69,18 @@ def _cosine_sum(series: np.ndarray, x: np.ndarray) -> np.ndarray:
     fine_turns = 2.0 * np.pi * np.arange(width)
     coarse_turns = 2.0 * np.pi * width * np.arange(rows)
     out = np.empty(x.shape[0])
-    # One 1 MiB workspace holds a block's fine table, coarse table and
-    # partial sums, each a row of cosines over a row of sines per point.  The
-    # GEMM packs the block's rows into BLAS's own buffer, whose touched size
-    # grows with them: at M = 1e5 a 4 MiB block (552 rows) added 3.4 MiB of
-    # resident memory, a 1 MiB block (138 rows) 1.4 MiB, at equal speed.
-    block = max(1, min(x.shape[0], 2**17 // (2 * width + 4 * rows)))
-    work = np.empty(block * (2 * width + 4 * rows))
+    # Each temporary of a block is at most 1 MiB.  The GEMM packs the block's
+    # rows into BLAS's own buffer, whose touched size grows with them: at
+    # M = 1e5 a 4 MiB block (552 rows) added 3.4 MiB of resident memory, a
+    # 1 MiB block (138 rows) 1.4 MiB, at equal speed.
+    block = max(1, 2**17 // (2 * width + 4 * rows))
     for lo in range(0, x.shape[0], block):
         chunk = x[lo : lo + block]
-        b = chunk.shape[0]
-        fine, coarse, partial = np.split(
-            work[: b * (2 * width + 4 * rows)], [2 * b * width, 2 * b * (width + rows)]
-        )
-        fine = _cos_over_sin(chunk, fine_turns, fine.reshape(2 * b, width))
-        coarse = _cos_over_sin(chunk, coarse_turns, coarse.reshape(2 * b, rows))
-        coarse *= np.matmul(fine, S, out=partial.reshape(2 * b, rows))
-        out[lo : lo + b] = coarse[:b].sum(axis=1) - coarse[b:].sum(axis=1)
-    return out
-
-
-def _cos_over_sin(x: np.ndarray, turns: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``cos(x * turns)`` stacked over ``sin(x * turns)`` in ``out``, one row per entry of ``x``."""
-    cos, sin = out[: x.shape[0]], out[x.shape[0] :]
-    np.multiply.outer(x, turns, out=cos)
-    np.sin(cos, out=sin)
-    np.cos(cos, out=cos)
+        fine = np.multiply.outer(chunk, fine_turns)
+        coarse = np.multiply.outer(chunk, coarse_turns)
+        cos_part, sin_part = np.split(np.concatenate([np.cos(fine), np.sin(fine)]) @ S, 2)
+        cos_sum = np.einsum("ij,ij->i", np.cos(coarse), cos_part)
+        out[lo : lo + block] = cos_sum - np.einsum("ij,ij->i", np.sin(coarse), sin_part)
     return out
 
 

@@ -85,7 +85,7 @@ def _panel_integral(
     where = f"radial integral at d={d}, alpha={alpha:g}, distance {distance:g}, sigma={sigma:g}"
     upper = _radial_cutoff(d, alpha, sigma)
     oscillation = 1.0 / (4.0 * distance) if distance > 0 else math.inf
-    n_panels = int(math.ceil(upper / min(upper / 8.0, 1.0 / (4.0 * math.pi * sigma), oscillation)))
+    n_panels = int(math.ceil(upper / min(1.0 / (4.0 * math.pi * sigma), oscillation)))
     if n_panels > _MAX_PANELS:
         raise QuadratureError(f"{where} needs {n_panels} panels, over the limit of {_MAX_PANELS}")
     step = upper / n_panels

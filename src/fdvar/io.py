@@ -5,7 +5,8 @@ row required) or as a JSON array of records whose fields mirror the same
 column layout.  CSV artifacts are float tables, JSON artifacts are compact
 single lines, and every float is written as its ``repr``.  Model files store
 (re, im) coefficient pairs in flat-index order; save/load/save is byte-stable
-and indented model files still load.
+and indented model files still load.  ``model_from_dict`` is their one check:
+every fault is a ``ValueError``, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import os
 import tempfile
+from operator import index
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .grid import FrequencyGrid
 
 _MODEL_FORMAT = "fdvar-model"
 _MODEL_VERSION = 1
+_HERMITIAN_TOL = 1e-8  # relative to the largest coefficient
 
 _REQUIRED_CONFIG = ("alpha", "lambda", "M", "delta_xi")
 _OPTIONAL_CONFIG = ("solve_tolerance", "memory_budget_mb")
@@ -236,32 +239,53 @@ def model_to_dict(model: FittedModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> FittedModel:
-    if payload.get("format") != _MODEL_FORMAT:
+    """The one check of a model file: a missing or malformed field, a coefficient
+    not finite or a Hermitian defect over its limit is a ``ValueError``."""
+    if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise ValueError("not a model file (missing format marker)")
     if payload.get("version") != _MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')!r}")
-    grid_info = payload["grid"]
+
+    def field(path: str, convert):
+        value = payload
+        try:
+            for key in path.split("."):
+                value = value[key]
+            return convert(value)
+        except KeyError:
+            raise ValueError(f"model file has no field '{path}'") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model field '{path}' is malformed: {exc}") from exc
+
     grid = FrequencyGrid(
-        d=int(grid_info["d"]), M=int(grid_info["M"]), delta_xi=float(grid_info["delta_xi"])
+        d=field("grid.d", index), M=field("grid.M", index), delta_xi=field("grid.delta_xi", float)
     )
     # Version-1 files may also carry backend, hermitian_projection and
     # riemann_normalize, which no SolveConfig field reads; they still load.
-    cfg = payload["config"]
     config = SolveConfig(
-        alpha=float(cfg["alpha"]),
-        lam=float(cfg["lambda"]),
-        solve_tolerance=float(cfg["solve_tolerance"]),
-        memory_budget_mb=float(cfg["memory_budget_mb"]),
+        alpha=field("config.alpha", float),
+        lam=field("config.lambda", float),
+        solve_tolerance=field("config.solve_tolerance", float),
+        memory_budget_mb=field("config.memory_budget_mb", float),
     )
-    pairs = np.asarray(payload["coefficients"], dtype=float)
+    pairs = field("coefficients", lambda v: np.asarray(v, dtype=float))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("model coefficients must be (re, im) pairs")
+    # Before the defect: a NaN defect compares false against any limit.
+    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"model coefficient pair {bad[0]} is {pairs[bad[0]].tolist()}, not finite")
+    coefficients = SpectralCoefficients(values=pairs[:, 0] + 1j * pairs[:, 1], grid=grid)
+    defect = coefficients.hermitian_defect()
+    limit = _HERMITIAN_TOL * float(np.abs(coefficients.values).max(initial=0.0))
+    if defect > limit:
+        raise ValueError(f"model Hermitian defect {defect:.3e} is over its limit {limit:.3e}")
     return FittedModel(
-        coefficients=SpectralCoefficients(values=pairs[:, 0] + 1j * pairs[:, 1], grid=grid),
+        coefficients=coefficients,
         config=config,
-        dataset_hash=str(payload["dataset_hash"]),
-        objective=float(payload["objective"]),
-        residuals=np.asarray(payload["residuals"], dtype=float),
+        dataset_hash=field("dataset_hash", str),
+        objective=field("objective", float),
+        residuals=field("residuals", lambda v: np.asarray(v, dtype=float)),
     )
 
 

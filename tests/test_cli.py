@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import fdvar.cli
 from fdvar.cli import main
 from fdvar.critical import log_log_slope
 from fdvar.io import load_model
@@ -120,17 +121,67 @@ def test_eval_zero_model_all_zero_column(workspace, capsys):
     assert all(line.endswith(",0.0") for line in lines[1:])
 
 
-def test_eval_rejects_non_hermitian_model(workspace, capsys):
+def eval_edited_model(workspace, edit):
+    """Fit the one-point model, apply ``edit`` to its JSON payload, then run eval on it."""
     assert run_fit(workspace) == 0
     path = workspace / "model.json"
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["coefficients"][0] = [0.0, 0.5]  # break the conjugate pairing
+    edit(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
-    code = main(
-        ["eval", str(path), "--grid=-0.5:0.5:11", "-o", str(workspace / "recon.csv")]
-    )
-    assert code == 3
-    assert "imaginary residue" in capsys.readouterr().err
+    return main(["eval", str(path), "--grid=-0.5:0.5:11", "-o", str(workspace / "recon.csv")])
+
+
+def test_eval_rejects_non_hermitian_model(workspace, capsys):
+    def break_pairing(payload):
+        payload["coefficients"][0] = [0.0, 0.5]
+
+    # rejected on load, before the grid is evaluated
+    assert eval_edited_model(workspace, break_pairing) == 2
+    err = capsys.readouterr().err
+    assert "Hermitian defect 5.000e-01 is over its limit" in err
+    assert not (workspace / "recon.csv").exists()
+
+
+def nan_pair(payload):
+    payload["coefficients"][7] = [float("nan"), 0.0]
+
+
+def grid_not_object(payload):
+    payload["grid"] = 5
+
+
+def config_not_object(payload):
+    payload["config"] = [1]
+
+
+def fractional_m(payload):
+    payload["grid"]["M"] = 50.5  # read as 50 before, the size of the stored lattice
+
+
+def huge_alpha(payload):
+    payload["config"]["alpha"] = 10**400  # a JSON integer that no float holds
+
+
+def no_alpha(payload):
+    del payload["config"]["alpha"]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        # a NaN defect compares false against the limit, so finiteness comes first
+        (nan_pair, "pair 7 is [nan, 0.0], not finite"),
+        (grid_not_object, "model field 'grid.d' is malformed"),
+        (config_not_object, "model field 'config.alpha' is malformed"),
+        (fractional_m, "model field 'grid.M' is malformed"),
+        (huge_alpha, "model field 'config.alpha' is malformed"),
+        (no_alpha, "model file has no field 'config.alpha'"),
+    ],
+)
+def test_eval_rejects_broken_model_file(workspace, capsys, edit, message):
+    assert eval_edited_model(workspace, edit) == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "recon.csv").exists()
 
 
 @pytest.mark.parametrize("grid", ["-0.5:0.5:0", "0.5:-0.5:11", "-inf:0.5:11", "nan:0.5:3"])
@@ -241,6 +292,7 @@ def test_sweep_unknown_config_key_exit_2(tmp_path, capsys):
         ({"min": -0.5, "max": 0.5}, "needs exactly the keys"),
         ([-0.5, 0.5, 11], "needs exactly the keys"),
         ({"min": None, "max": 0.5, "points": 11}, "must be numbers"),
+        ({"min": -0.5, "max": 0.5, "points": float("inf")}, "must be numbers"),
     ],
 )
 def test_sweep_bad_eval_grid_exit_2(tmp_path, capsys, eval_grid, message):
@@ -311,6 +363,16 @@ def test_sweep_bad_point_recorded_not_fatal(tmp_path):
     statuses = [p["status"] for p in manifest["points"]]
     assert statuses[0] == "ok" and statuses[1].startswith("error")
     assert "memory_budget_mb" in statuses[1]
+
+
+def test_sweep_point_programming_error_propagates(tmp_path, monkeypatch):
+    # only input and numerical errors become a point's status
+    def broken_fit(grid, data, config):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(fdvar.cli, "fit", broken_fit)
+    with pytest.raises(TypeError, match="broken fit"):
+        main(["sweep", sweep_spec(tmp_path), "-d", str(tmp_path / "out")])
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,10 @@ def test_model_loader_ignores_removed_config_keys(tmp_path):
 
 def test_model_format_guard(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
-    with pytest.raises(ValueError, match="format"):
-        io.load_model(str(path))
+    for payload in ({"format": "other"}, [1]):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="format"):
+            io.load_model(str(path))
 
 
 def test_write_csv_deterministic(tmp_path):
