@@ -23,6 +23,7 @@ from .core import Dataset, SolveConfig
 from .critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, checked_widths, critical_constant
 from .critical import trichotomy_sweep
 from .errors import CapacityError, QuadratureError, SolverError
+from .errors import finite_real, nonnegative_real, positive_int, positive_real
 from .grid import FrequencyGrid
 from .solver import fit
 from .subcritical import build_interpolant, decay_sweep, interpolant_sobolev_norm
@@ -30,7 +31,9 @@ from .verify import run_verification
 
 _INPUT_ERRORS = (ValueError, OSError)  # io.load_model raises ValueError: eval never exits 3
 _NUMERICAL_ERRORS = (SolverError, CapacityError, QuadratureError)
-_SWEEP_AXES = ("alpha", "M", "sigma", "lambda")
+_SWEEP_AXES = {  # each sweep axis and the rule of its quantity
+    "alpha": positive_real, "M": positive_int, "sigma": positive_real, "lambda": nonnegative_real
+}
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +58,9 @@ def _parse_eval_grid(payload: dict) -> tuple[float, float, int]:
     spec = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
     if not isinstance(spec, dict) or set(spec) != {"min", "max", "points"}:
         raise ValueError(f"eval_grid needs exactly the keys min, max and points, got {spec!r}")
-    try:
-        lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["points"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"eval_grid entries must be numbers, got {spec!r}") from exc
-    if count != spec["points"]:
-        raise ValueError(f"eval_grid points must be an integer, got {spec['points']!r}")
-    return _checked_grid(lo, hi, count, spec)
+    lo = finite_real("eval_grid.min", spec["min"])
+    hi = finite_real("eval_grid.max", spec["max"])
+    return _checked_grid(lo, hi, positive_int("eval_grid.points", spec["points"]), spec)
 
 
 def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: str) -> np.ndarray:
@@ -154,15 +153,12 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     sweep = payload.get("sweep", {})
     axis = sweep.get("axis")
     if axis not in _SWEEP_AXES:
-        raise ValueError(f"sweep.axis must be one of {_SWEEP_AXES}")
+        raise ValueError(f"sweep.axis must be one of {tuple(_SWEEP_AXES)}")
     values = sweep.get("values")
-    # type() rather than isinstance(): JSON true and false are not numbers.
-    if not isinstance(values, list) or not values or not all(
-        type(v) in (int, float) and 0 < v <= sys.float_info.max for v in values
-    ):
-        raise ValueError(f"sweep.values must be positive finite numbers, got {values!r}")
-    if axis == "M" and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"sweep.values on axis 'M' must be positive integers, got {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"sweep.values must be a nonempty array, got {values!r}")
+    rule = _SWEEP_AXES[axis]
+    values = [float(rule(f"sweep.values[{i}] on axis '{axis}'", v)) for i, v in enumerate(values)]
     # Every config key goes to the config parser, which rejects unknown ones.
     entries = {str(key): str(value) for key, value in payload.get("config", {}).items()}
     entries.update(M=str(grid_info["M"]), delta_xi=str(grid_info["delta_xi"]))
@@ -183,7 +179,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         delta_xi=grid_params["delta_xi"],
         config=config,
         axis=axis,
-        values=tuple(map(float, values)),
+        values=tuple(values),
         eval_grid=eval_grid,
         weight=weight,
     )
@@ -235,7 +231,7 @@ def _cmd_closedform(args) -> int:
     )
     lo, hi, count = _parse_grid_spec(args.grid)
     xs = np.linspace(lo, hi, count)
-    values = 0.5 * args.label * closed_form.reconstruction(params, xs)
+    values = 0.5 * finite_real("label", args.label) * closed_form.reconstruction(params, xs)
     io.write_csv(args.output, ["x", "h"], np.column_stack([xs, values]))
     origin = 0.5 * args.label * float(closed_form.reconstruction(params, 0.0)[0])
     print(f"points={count} h(0)={io.format_float(origin)} z_squared={params.z_squared:.6g}")

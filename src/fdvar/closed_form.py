@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import nonnegative_real, positive_int, positive_real
 from .solver import AssembledSystem
 
 
@@ -30,14 +31,10 @@ class ClosedFormParams:
     z_squared: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.M, int) or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        if not (math.isfinite(self.delta_xi) and self.delta_xi > 0):
-            raise ValueError("delta_xi must be positive")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda must be nonnegative")
+        object.__setattr__(self, "M", positive_int("M", self.M))
+        for name in ("delta_xi", "alpha"):
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
+        object.__setattr__(self, "lam", nonnegative_real("lambda", self.lam))
         object.__setattr__(self, "z_squared", float(np.sum(self.inverse_weights())))
 
     def mode_weights(self) -> np.ndarray:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import nonnegative_real, positive_real
 from .grid import FrequencyGrid
 
 
@@ -95,14 +95,10 @@ class SolveConfig:
     memory_budget_mb: float = 4096.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError("lambda must be nonnegative")
-        if not (self.solve_tolerance > 0):
-            raise ValueError("solve_tolerance must be positive")
-        if not (self.memory_budget_mb > 0):
-            raise ValueError("memory_budget_mb must be positive")
+        object.__setattr__(self, "alpha", positive_real("alpha", self.alpha))
+        object.__setattr__(self, "lam", nonnegative_real("lambda", self.lam))
+        for name in ("solve_tolerance", "memory_budget_mb"):
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
 
 
 def sobolev_objective(coeffs: SpectralCoefficients, alpha: float) -> float:
@@ -162,9 +158,11 @@ class FittedModel:
     residuals: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.objective < 0:
-            raise ValueError("objective must be nonnegative")
-        object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
+        object.__setattr__(self, "objective", nonnegative_real("objective", self.objective))
+        if np.ndim(self.residuals) != 1:
+            raise ValueError(f"residuals must be a 1-D array, got {self.residuals!r}")
+        residuals = [nonnegative_real(f"residuals[{i}]", r) for i, r in enumerate(self.residuals)]
+        object.__setattr__(self, "residuals", np.array(residuals, dtype=float))
 
     @property
     def grid(self) -> FrequencyGrid:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import j0
 
-from .errors import QuadratureError
+from .errors import QuadratureError, positive_int, positive_real
 
 GAUSS_RATE = 4.0 * math.pi**2
 
@@ -45,15 +45,13 @@ _ORIGIN_GRADING = 8.0 ** -np.arange(10, 0, -1.0)
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit (d-1)-sphere, ``2 pi^(d/2) / Gamma(d/2)``."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    d = positive_int("d", d)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def critical_constant(d: int) -> float:
     """Limit of the squared norm at the critical exponent ``alpha = d``."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
+    d = positive_int("d", d)
     return 0.5 * math.factorial(d - 1) * (2.0 * math.pi) ** (-d) * sphere_area(d)
 
 
@@ -74,17 +72,17 @@ def _panel_integral(
 
     Returns ``(2 pi)^d sigma^(2d) omega_d * integral_0^R r^power (1 + r^2)^bracket
     exp(-4 pi^2 sigma^2 r^2) m_d(2 pi distance r) dr`` with ``R = _radial_cutoff``.
-    Composite 16-point Gauss-Legendre with panels resolving the fastest
-    scale; the first panel is split geometrically toward the origin, where
-    the homogeneous weight ``r^alpha`` has a kink and the bracket weight
-    varies on the unit scale.  The integrand, prefactor and node weights are
-    one exponent, so a term overflows only if the integral does.  At
-    distance 0 (``m_d = 1``) the integral is a norm and must be finite and
-    positive.
+    Composite 16-point Gauss-Legendre; a panel spans at most one period
+    ``1/distance`` of ``m_d`` and ``1/(4 pi sigma)``, and the first is split
+    geometrically toward the origin, where the homogeneous weight
+    ``r^alpha`` has a kink and the bracket weight varies on the unit scale.
+    The integrand, prefactor and node weights are one exponent, so a term
+    overflows only if the integral does.  At distance 0 (``m_d = 1``) the
+    integral is a norm and must be finite and positive.
     """
     where = f"radial integral at d={d}, alpha={alpha:g}, distance {distance:g}, sigma={sigma:g}"
     upper = _radial_cutoff(d, alpha, sigma)
-    oscillation = 1.0 / (4.0 * distance) if distance > 0 else math.inf
+    oscillation = 1.0 / distance if distance > 0 else math.inf
     n_panels = int(math.ceil(upper / min(1.0 / (4.0 * math.pi * sigma), oscillation)))
     if n_panels > _MAX_PANELS:
         raise QuadratureError(f"{where} needs {n_panels} panels, over the limit of {_MAX_PANELS}")
@@ -143,13 +141,8 @@ def gaussian_radial_moment_exact(k: int) -> float:
     return math.exp(_log_moment(k))
 
 
-def _validate_norm_args(d: int, alpha: float, sigma: float) -> None:
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("dimension must be a positive integer")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError("alpha must be positive")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive")
+def _norm_args(d: int, alpha: float, sigma: float) -> tuple[int, float, float]:
+    return positive_int("d", d), positive_real("alpha", alpha), positive_real("sigma", sigma)
 
 
 def gaussian_sobolev_norm(d: int, alpha: float, sigma: float) -> float:
@@ -159,7 +152,7 @@ def gaussian_sobolev_norm(d: int, alpha: float, sigma: float) -> float:
     integral_0^inf rho^(d-1) (sigma^2 + rho^2)^(alpha/2) exp(-4 pi^2 rho^2) drho``;
     with ``rho = sigma r`` it is the distance-0 bracket ``_pair_term``.
     """
-    _validate_norm_args(d, alpha, sigma)
+    d, alpha, sigma = _norm_args(d, alpha, sigma)
     return _pair_term(d, alpha, sigma, 0.0, WEIGHT_BRACKET)
 
 
@@ -171,7 +164,7 @@ def gaussian_homogeneous_norm(d: int, alpha: float, sigma: float) -> float:
     constant when ``alpha = d``.  It is formed in logarithms, so every value
     that fits in a double is returned; any other raises ``QuadratureError``.
     """
-    _validate_norm_args(d, alpha, sigma)
+    d, alpha, sigma = _norm_args(d, alpha, sigma)
     log_value = d * _LOG_2PI + (d - alpha) * math.log(sigma) + math.log(sphere_area(d))
     log_value += _log_moment(alpha + d - 1)
     value = math.exp(log_value) if log_value <= _LOG_MAX else math.inf

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import positive_int, positive_real
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -23,12 +25,9 @@ class FrequencyGrid:
     delta_xi: float
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError("d must be a positive integer")
-        if not isinstance(self.M, int) or self.M < 1:
-            raise ValueError("M must be a positive integer")
-        if not (math.isfinite(self.delta_xi) and self.delta_xi > 0):
-            raise ValueError("delta_xi must be positive and finite")
+        object.__setattr__(self, "d", positive_int("d", self.d))
+        object.__setattr__(self, "M", positive_int("M", self.M))
+        object.__setattr__(self, "delta_xi", positive_real("delta_xi", self.delta_xi))
 
     @property
     def axis_points(self) -> int:
@@ -86,9 +85,7 @@ class FrequencyGrid:
 
     def sobolev_weights(self, alpha: float) -> np.ndarray:
         """Spectral weights ``(1 + ||J*delta_xi||^2)^(alpha/2)``."""
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError("alpha must be positive and finite")
-        return (1.0 + self.squared_norms()) ** (alpha / 2.0)
+        return (1.0 + self.squared_norms()) ** (positive_real("alpha", alpha) / 2.0)
 
     def negation_permutation(self) -> np.ndarray:
         """Permutation mapping each flat index to the index of ``-J``.

@@ -6,7 +6,8 @@ column layout.  CSV artifacts are float tables, JSON artifacts are compact
 single lines, and every float is written as its ``repr``.  Model files store
 (re, im) coefficient pairs in flat-index order; save/load/save is byte-stable
 and indented model files still load.  ``model_from_dict`` is their one check:
-every fault is a ``ValueError``, which the CLI maps to exit 2.
+every fault is a ``ValueError``, which the CLI maps to exit 2.  JSON numbers,
+save the coefficient array, pass a rule of ``errors``: ``true`` is not one.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import hashlib
 import json
 import os
 import tempfile
-from operator import index
-
 import numpy as np
 
 from .core import Dataset, FittedModel, SolveConfig, SpectralCoefficients
+from .errors import finite_real, nonnegative_real, positive_int, positive_real
 from .grid import FrequencyGrid
 
 _MODEL_FORMAT = "fdvar-model"
@@ -130,15 +130,12 @@ def _load_dataset_json(path: str) -> Dataset:
     if len(keys) < 2:
         raise ValueError("dataset records need at least one coordinate and one label")
     label_key = "y" if "y" in keys else keys[-1]
-    coord_keys = [k for k in keys if k != label_key]
+    columns = [k for k in keys if k != label_key] + [label_key]
     rows = []
     for i, record in enumerate(records):
         if set(record.keys()) != set(keys):
             raise ValueError(f"dataset record {i} has mismatched fields")
-        try:
-            rows.append([float(record[k]) for k in coord_keys] + [float(record[label_key])])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"dataset record {i} has a field that is not a number") from exc
+        rows.append([finite_real(f"dataset record {i} field {k!r}", record[k]) for k in columns])
     return _dataset_from_rows(rows)
 
 
@@ -152,7 +149,10 @@ def load_dataset(path: str) -> Dataset:
 def dataset_from_points(points) -> Dataset:
     """Build a dataset from inline rows ``[x1, ..., xd, y]``."""
     try:
-        rows = [list(map(float, row)) for row in points]
+        rows = [
+            [finite_real(f"dataset points[{i}][{j}]", v) for j, v in enumerate(row)]
+            for i, row in enumerate(points)
+        ]
     except TypeError as exc:
         raise ValueError(f"dataset points must be rows of numbers, got {points!r}") from exc
     return _dataset_from_rows(rows)
@@ -197,10 +197,7 @@ def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
         except ValueError as exc:
             raise ValueError(f"config field '{field}' must be a number") from exc
 
-    m_value = number("M")
-    if not m_value.is_integer() or m_value < 1:
-        raise ValueError("config field 'M' must be a positive integer")
-    grid_params = {"M": int(m_value), "delta_xi": number("delta_xi")}
+    grid_params = {"M": positive_int("M", number("M")), "delta_xi": number("delta_xi")}
 
     config = SolveConfig(
         alpha=number("alpha"),
@@ -246,29 +243,28 @@ def model_from_dict(payload: dict) -> FittedModel:
     if payload.get("version") != _MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')!r}")
 
-    def field(path: str, convert):
+    def field(path: str, rule):  # rule(last key of path, value)
         value = payload
         try:
             for key in path.split("."):
                 value = value[key]
-            return convert(value)
+            return rule(key, value)
         except KeyError:
             raise ValueError(f"model file has no field '{path}'") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"model field '{path}' is malformed: {exc}") from exc
 
-    grid = FrequencyGrid(
-        d=field("grid.d", index), M=field("grid.M", index), delta_xi=field("grid.delta_xi", float)
-    )
+    d, M = field("grid.d", positive_int), field("grid.M", positive_int)
+    grid = FrequencyGrid(d=d, M=M, delta_xi=field("grid.delta_xi", positive_real))
     # Version-1 files may also carry backend, hermitian_projection and
     # riemann_normalize, which no SolveConfig field reads; they still load.
     config = SolveConfig(
-        alpha=field("config.alpha", float),
-        lam=field("config.lambda", float),
-        solve_tolerance=field("config.solve_tolerance", float),
-        memory_budget_mb=field("config.memory_budget_mb", float),
+        alpha=field("config.alpha", positive_real),
+        lam=field("config.lambda", nonnegative_real),
+        solve_tolerance=field("config.solve_tolerance", positive_real),
+        memory_budget_mb=field("config.memory_budget_mb", positive_real),
     )
-    pairs = field("coefficients", lambda v: np.asarray(v, dtype=float))
+    pairs = field("coefficients", lambda _, v: np.asarray(v, dtype=float))
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("model coefficients must be (re, im) pairs")
     # Before the defect: a NaN defect compares false against any limit.
@@ -283,9 +279,9 @@ def model_from_dict(payload: dict) -> FittedModel:
     return FittedModel(
         coefficients=coefficients,
         config=config,
-        dataset_hash=field("dataset_hash", str),
-        objective=field("objective", float),
-        residuals=field("residuals", lambda v: np.asarray(v, dtype=float)),
+        dataset_hash=field("dataset_hash", lambda _, v: str(v)),
+        objective=field("objective", nonnegative_real),
+        residuals=field("residuals", lambda _, v: v),
     )
 
 

@@ -24,7 +24,7 @@ from .core import (
     SpectralCoefficients,
     sobolev_objective,
 )
-from .errors import CapacityError, SolverError
+from .errors import CapacityError, SolverError, nonnegative_real
 from .grid import FrequencyGrid
 
 
@@ -65,8 +65,6 @@ class AssembledSystem:
             raise ValueError("rhs length must match matrix rows")
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
         if self.lattice and matrix.shape[1] % 2 == 0:
             raise ValueError(
                 f"a lattice system needs an odd column count, got {matrix.shape[1]}"
@@ -76,6 +74,7 @@ class AssembledSystem:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "lam", nonnegative_real("lambda", self.lam))
 
     @property
     def n(self) -> int:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .core import Dataset, _as_points
 from .critical import GAUSS_RATE, WEIGHT_BRACKET, checked_widths, log_log_slope
-from .critical import _ANGULAR_MEAN, _pair_term, _radial_cutoff, _validate_norm_args
-from .errors import QuadratureError, SolverError
+from .critical import _ANGULAR_MEAN, _norm_args, _pair_term, _radial_cutoff
+from .errors import QuadratureError, SolverError, positive_real
 
 _INTERPOLATION_TOL = 1e-10
 _MAX_GRID_POINTS = 40_000_000
@@ -57,8 +57,7 @@ def build_interpolant(data: Dataset, sigma: float) -> GaussianInterpolant:
     exceeds 1e-10 is treated as failed and reported with advice to shrink
     sigma.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive")
+    sigma = positive_real("sigma", sigma)
     diffs = data.X[:, None, :] - data.X[None, :, :]
     kernel = np.exp(-np.sum(diffs * diffs, axis=2) / (2.0 * sigma * sigma))
     margin = float(np.min(2.0 - kernel.sum(axis=1)))
@@ -81,7 +80,7 @@ def build_interpolant(data: Dataset, sigma: float) -> GaussianInterpolant:
             stacklevel=2,
         )
     return GaussianInterpolant(
-        sigma=float(sigma),
+        sigma=sigma,
         data=data,
         coefficients=g,
         kernel_matrix=kernel,
@@ -140,21 +139,20 @@ def interpolant_sobolev_norm(
     ``weight`` selects the bracket ``(1+||xi||^2)^(alpha/2)`` or the
     pure-power ``||xi||^alpha`` density.
     """
-    _validate_norm_args(interp.data.d, alpha, interp.sigma)
+    d, alpha, sigma = _norm_args(interp.data.d, alpha, interp.sigma)
     X = interp.data.X
     g = interp.coefficients
-    d = interp.data.d
     if d not in _ANGULAR_MEAN:
         raise ValueError("pairwise quadrature implemented for d <= 3")
     diffs = X[:, None, :] - X[None, :, :]
     distances = np.sqrt(np.sum(diffs * diffs, axis=2))
     # One radial integral per distinct distance (to 12 decimals).
     keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
-    terms = np.array([_pair_term(d, alpha, interp.sigma, float(key), weight) for key in keys])
+    terms = np.array([_pair_term(d, alpha, sigma, float(key), weight) for key in keys])
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(g @ terms[inverse].reshape(distances.shape) @ g)
     if not math.isfinite(norm):  # every term is finite, but large labels can overflow the sum
-        where = f"interpolant norm at d={d}, alpha={alpha:g}, sigma={interp.sigma:g}"
+        where = f"interpolant norm at d={d}, alpha={alpha:g}, sigma={sigma:g}"
         raise QuadratureError(f"{where} is {norm:g}, not a finite double")
     return norm
 

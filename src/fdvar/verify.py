@@ -115,9 +115,9 @@ def _check_backend_agreement(ctx: dict) -> tuple[bool, str]:
 def _check_band_limit_overlap(ctx: dict) -> tuple[bool, str]:
     xs = np.linspace(-1.0, 1.0, 801)
     coarse = two_point_model(100).evaluate(xs).real
-    fine = two_point_model(400).evaluate(xs).real
-    sup = float(np.max(np.abs(coarse - fine)))
-    resid = float(np.max(two_point_model(400).residuals))
+    fine = two_point_model(400)
+    sup = float(np.max(np.abs(coarse - fine.evaluate(xs).real)))
+    resid = float(np.max(fine.residuals))
     ok = sup < 0.02 and resid <= 0.05
     return ok, f"sup_diff={sup:.3e} (tol 2e-02), data_resid={resid:.3e} (tol 5e-02)"
 

@@ -61,7 +61,7 @@ def test_fit_empty_dataset_exits_2(workspace, capsys):
     "records,message",
     [
         ([1, 2], "record 0 is not a JSON object"),
-        ([{"x": 0.0, "y": 1.0}, {"x": 0.5, "y": None}], "record 1 has a field that is not"),
+        ([{"x": 0.0, "y": 1.0}, {"x": 0.5, "y": None}], "record 1 field 'y' must be a finite"),
     ],
 )
 def test_fit_malformed_json_dataset_exits_2(workspace, capsys, records, message):
@@ -284,15 +284,15 @@ def test_sweep_unknown_config_key_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "eval_grid,message",
     [
-        ({"min": -0.5, "max": 0.5, "points": 0}, "bad grid spec"),
-        ({"min": -0.5, "max": 0.5, "points": -3}, "bad grid spec"),
+        ({"min": -0.5, "max": 0.5, "points": 0}, "eval_grid.points must be a positive integer"),
+        ({"min": -0.5, "max": 0.5, "points": -3}, "eval_grid.points must be a positive integer"),
         ({"min": 0.5, "max": -0.5, "points": 11}, "bad grid spec"),
-        ({"min": -0.5, "max": 0.5, "points": 2.5}, "must be an integer"),
+        ({"min": -0.5, "max": 0.5, "points": 2.5}, "eval_grid.points must be a positive integer"),
         ({"min": -0.5, "max": 0.5, "pts": 11}, "'pts'"),
         ({"min": -0.5, "max": 0.5}, "needs exactly the keys"),
         ([-0.5, 0.5, 11], "needs exactly the keys"),
-        ({"min": None, "max": 0.5, "points": 11}, "must be numbers"),
-        ({"min": -0.5, "max": 0.5, "points": float("inf")}, "must be numbers"),
+        ({"min": None, "max": 0.5, "points": 11}, "eval_grid.min must be a finite number"),
+        ({"min": -0.5, "max": 0.5, "points": float("inf")}, "eval_grid.points must be a positive"),
     ],
 )
 def test_sweep_bad_eval_grid_exit_2(tmp_path, capsys, eval_grid, message):

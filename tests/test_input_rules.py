@@ -1,0 +1,213 @@
+"""One rule per input quantity, the same at every entry point.
+
+Each case is an input that an entry point accepted, misread or judged by
+another quantity's rule before every entry point shared ``fdvar.errors``: a
+config file, a model file, a JSON dataset, a sweep spec, ``closedform
+--label`` and the library constructors.  CLI cases exit 2 and name the
+field; library cases raise a ``ValueError`` that names the quantity and the
+value.
+"""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from fdvar.cli import main
+from fdvar.closed_form import ClosedFormParams
+from fdvar.core import FittedModel, SolveConfig, SpectralCoefficients
+from fdvar.critical import critical_constant, gaussian_sobolev_norm
+from fdvar.grid import FrequencyGrid
+from fdvar.solver import AssembledSystem
+
+CONFIG = "alpha = 2\nlambda = 1\nM = 10\ndelta_xi = 0.1\n"
+
+
+def fit_argv(tmp_path, config=CONFIG, dataset=("points.csv", "x,y\n0.0,2.0\n")):
+    (tmp_path / "config.txt").write_text(config, encoding="utf-8")
+    (tmp_path / dataset[0]).write_text(dataset[1], encoding="utf-8")
+    paths = [str(tmp_path / name) for name in ("config.txt", dataset[0], "model.json")]
+    return ["fit", *paths[:2], "-o", paths[2]]
+
+
+def config_with(line):
+    return lambda tmp_path: fit_argv(tmp_path, config=CONFIG + line + "\n")
+
+
+def json_dataset(records):
+    return lambda tmp_path: fit_argv(tmp_path, dataset=("data.json", json.dumps(records)))
+
+
+def model_with(path, value):
+    """Fit the one-point model, set the model file's field at ``path`` to ``value``, then eval."""
+
+    def argv(tmp_path):
+        assert main(fit_argv(tmp_path)) == 0
+        model = tmp_path / "model.json"
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        *parents, key = path.split(".")
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        return ["eval", str(model), "--grid=-0.5:0.5:11", "-o", str(tmp_path / "recon.csv")]
+
+    return argv
+
+
+def sweep_with(**overrides):
+    def argv(tmp_path):
+        spec = {
+            "name": "demo",
+            "dataset": {"points": [[-0.5, 0.9], [0.5, 0.9]]},
+            "grid": {"M": 10, "delta_xi": 0.1},
+            "config": {"alpha": 2, "lambda": 1},
+            "sweep": {"axis": "alpha", "values": [0.5, 4.0]},
+            "eval_grid": {"min": -0.5, "max": 0.5, "points": 11},
+        }
+        spec.update(overrides)
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        return ["sweep", str(tmp_path / "spec.json"), "-d", str(tmp_path / "out")]
+
+    return argv
+
+
+def closedform_label(label):
+    return lambda tmp_path: [
+        "closedform", "--M", "10", "--delta-xi", "0.1", "--alpha", "2", "--lambda", "1",
+        "--label", label, "--grid=-0.5:0.5:11", "-o", str(tmp_path / "curve.csv"),
+    ]  # fmt: skip
+
+
+CLI_CASES = {
+    "config-solve_tolerance-inf": (
+        config_with("solve_tolerance = inf"), "solve_tolerance must be positive and finite, got inf"
+    ),
+    "config-memory_budget_mb-inf": (
+        config_with("memory_budget_mb = inf"), "memory_budget_mb must be positive and finite, got inf"
+    ),
+    "model-alpha-true": (
+        model_with("config.alpha", True),
+        "model field 'config.alpha' is malformed: alpha must be positive and finite, got True",
+    ),
+    "model-lambda-false": (
+        model_with("config.lambda", False),
+        "model field 'config.lambda' is malformed: lambda must be nonnegative and finite, got False",
+    ),
+    "model-d-true": (
+        model_with("grid.d", True), "model field 'grid.d' is malformed: d must be a positive integer"
+    ),
+    "model-memory_budget_mb-true": (
+        model_with("config.memory_budget_mb", True),
+        "memory_budget_mb must be positive and finite, got True",
+    ),
+    "model-objective-nan": (
+        model_with("objective", math.nan), "objective must be nonnegative and finite, got nan"
+    ),
+    "model-residuals-null": (model_with("residuals", None), "residuals must be a 1-D array, got None"),
+    "model-residuals-true": (
+        model_with("residuals", [True]), "residuals[0] must be nonnegative and finite, got True"
+    ),
+    "dataset-record-true": (
+        json_dataset([{"x": True, "y": 1.0}]), "dataset record 0 field 'x' must be a finite number"
+    ),
+    "sweep-point-true": (
+        sweep_with(dataset={"points": [[True, 0.9]]}), "dataset points[0][0] must be a finite number"
+    ),
+    "sweep-eval_grid-min-true": (
+        sweep_with(eval_grid={"min": True, "max": 2.0, "points": 11}),
+        "eval_grid.min must be a finite number, got True",
+    ),
+    "sweep-alpha-zero": (
+        sweep_with(sweep={"axis": "alpha", "values": [0.5, 0]}),
+        "sweep.values[1] on axis 'alpha' must be positive and finite, got 0",
+    ),
+    "sweep-M-fraction": (
+        sweep_with(sweep={"axis": "M", "values": [4, 2.5]}),
+        "sweep.values[1] on axis 'M' must be a positive integer, got 2.5",
+    ),
+    "sweep-sigma-true": (
+        sweep_with(sweep={"axis": "sigma", "values": [0.1, True]}),
+        "sweep.values[1] on axis 'sigma' must be positive and finite, got True",
+    ),
+    "sweep-lambda-negative": (
+        sweep_with(sweep={"axis": "lambda", "values": [1, -1]}),
+        "sweep.values[1] on axis 'lambda' must be nonnegative and finite, got -1",
+    ),
+    "closedform-label-nan": (closedform_label("nan"), "label must be a finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CASES)
+def test_cli_input_exits_2_and_names_field(tmp_path, capsys, case):
+    argv, message = CLI_CASES[case]
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "curve.csv").exists()
+
+
+def test_sweep_lambda_zero_like_fit(tmp_path):
+    # lambda = 0 is a valid penalty for fit, so it is a valid sweep value
+    assert main(sweep_with(sweep={"axis": "lambda", "values": [0, 0.5]})(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "out" / "demo_manifest.json").read_text(encoding="utf-8"))
+    assert [p["value"] for p in manifest["points"]] == [0.0, 0.5]
+    assert all(p["status"] == "ok" for p in manifest["points"])
+
+
+def fitted(**changes):
+    grid = FrequencyGrid(d=1, M=1, delta_xi=0.5)
+    fields = {
+        "coefficients": SpectralCoefficients(values=np.zeros(3), grid=grid),
+        "config": SolveConfig(alpha=1.0, lam=1.0),
+        "dataset_hash": "",
+        "objective": 0.0,
+        "residuals": [0.0],
+    }
+    return FittedModel(**{**fields, **changes})
+
+
+LIBRARY_CASES = {
+    "grid-bool": (
+        lambda: FrequencyGrid(d=True, M=True, delta_xi=1.0), "d must be a positive integer, got True"
+    ),
+    "system-lambda-nan": (
+        lambda: AssembledSystem(matrix=np.ones((1, 1)), weights=[1.0], lam=math.nan, rhs=[1.0]),
+        "lambda must be nonnegative and finite, got nan",
+    ),
+    "config-solve_tolerance-inf": (
+        lambda: SolveConfig(alpha=1.0, lam=1.0, solve_tolerance=math.inf),
+        "solve_tolerance must be positive and finite, got inf",
+    ),
+    "config-memory_budget_mb-inf": (
+        lambda: SolveConfig(alpha=1.0, lam=1.0, memory_budget_mb=math.inf),
+        "memory_budget_mb must be positive and finite, got inf",
+    ),
+    "closed-form-M-bool": (
+        lambda: ClosedFormParams(M=True, delta_xi=0.1, alpha=2.0, lam=1.0),
+        "M must be a positive integer, got True",
+    ),
+    "critical-constant-d-bool": (
+        lambda: critical_constant(True), "d must be a positive integer, got True"
+    ),
+    "norm-alpha-bool": (
+        lambda: gaussian_sobolev_norm(1, True, 0.1), "alpha must be positive and finite, got True"
+    ),
+    "model-objective-nan": (
+        lambda: fitted(objective=math.nan), "objective must be nonnegative and finite, got nan"
+    ),
+    "model-residuals-none": (
+        lambda: fitted(residuals=None), "residuals must be a 1-D array, got None"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_CASES)
+def test_library_input_names_quantity_and_value(case):
+    build, message = LIBRARY_CASES[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -97,7 +97,7 @@ def test_config_missing_field_named(tmp_path, missing):
 
 
 def test_config_bad_values(tmp_path):
-    with pytest.raises(ValueError, match="'M'"):
+    with pytest.raises(ValueError, match="M must be a positive integer, got 2.5"):
         io.config_from_entries({"alpha": "1", "lambda": "1", "M": "2.5", "delta_xi": "0.1"})
     with pytest.raises(ValueError, match="not 'key = value'"):
         io.parse_config_text("alpha 4")
