@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 verification failures, 2 input errors, 3 numerical
 errors; ``main`` and each sweep point catch exactly the two tuples below.
+Config files and sweep specs are read by ``io.settings``: a sweep point is the
+spec's ``config`` and ``grid`` with the swept key set, read when the spec is.
 All file outputs are UTF-8, written atomically, with shortest round-trip
 float formatting so identical inputs produce byte-identical artifacts.
 """
@@ -14,13 +16,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_form, io
 from .core import Dataset, SolveConfig
-from .critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, checked_widths, critical_constant
+from .critical import WEIGHT_BRACKET, WEIGHTS, checked_weight, checked_widths, critical_constant
 from .critical import trichotomy_sweep
 from .errors import CapacityError, QuadratureError, SolverError
 from .errors import finite_real, nonnegative_real, positive_int, positive_real
@@ -88,9 +90,8 @@ def _write_decay(path: str, sigmas, norms, margins) -> None:
 # fit / eval
 # ---------------------------------------------------------------------------
 def _cmd_fit(args) -> int:
-    grid_params, config = io.load_config(args.config)
     data = io.load_dataset(args.dataset)
-    grid = FrequencyGrid(d=data.d, M=grid_params["M"], delta_xi=grid_params["delta_xi"])
+    grid, config = io.load_config(args.config, data.d)  # the data fixes d
     start = time.perf_counter()
     model = fit(grid, data, config)
     elapsed = time.perf_counter() - start
@@ -117,15 +118,13 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep: a dataset, grid parameters, an axis with values, an eval grid."""
+    """One sweep: a dataset, an axis with values and each value's settings, an eval grid."""
 
     name: str
     data: Dataset
-    grid_m: int
-    delta_xi: float
-    config: SolveConfig
     axis: str
     values: tuple[float, ...]
+    points: tuple[tuple[FrequencyGrid, SolveConfig], ...]  # one per value
     eval_grid: tuple[float, float, int]
     weight: str
 
@@ -147,9 +146,9 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         data = io.dataset_from_points(dataset["points"])
     else:
         raise ValueError("'dataset' must be a path or {'points': [[x..., y], ...]}")
-    grid_info = payload.get("grid", {})
-    if "M" not in grid_info or "delta_xi" not in grid_info:
-        raise ValueError("experiment spec needs grid.M and grid.delta_xi")
+    grid_fields = payload.get("grid", {})
+    if not set(grid_fields) <= {"M", "delta_xi"}:
+        raise ValueError(f"'grid' takes only M and delta_xi, got {sorted(grid_fields)}")
     sweep = payload.get("sweep", {})
     axis = sweep.get("axis")
     if axis not in _SWEEP_AXES:
@@ -159,50 +158,32 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise ValueError(f"sweep.values must be a nonempty array, got {values!r}")
     rule = _SWEEP_AXES[axis]
     values = [float(rule(f"sweep.values[{i}] on axis '{axis}'", v)) for i, v in enumerate(values)]
-    # Every config key goes to the config parser, which rejects unknown ones.
-    entries = {str(key): str(value) for key, value in payload.get("config", {}).items()}
-    entries.update(M=str(grid_info["M"]), delta_xi=str(grid_info["delta_xi"]))
-    # Swept solver fields need no base value; pin a placeholder.
-    if axis in ("alpha", "lambda"):
-        entries.setdefault(axis, "1")
-    if axis == "sigma":
-        entries.setdefault("lambda", "1")
-    grid_params, config = io.config_from_entries(entries)
-    eval_grid = _parse_eval_grid(payload)
-    weight = payload.get("weight", WEIGHT_BRACKET)
-    if weight not in (WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS):
-        raise ValueError(f"weight must be '{WEIGHT_BRACKET}' or '{WEIGHT_HOMOGENEOUS}'")
+    fields = {**payload.get("config", {}), **grid_fields}
+    if axis == "sigma":  # no setting: a width point reads only alpha, so lambda may be absent
+        points = (io.settings({"lambda": 1.0, **fields}, data.d),) * len(values)
+    else:  # a point is the spec's settings with the swept key set
+        points = tuple(io.settings({**fields, axis: value}, data.d) for value in values)
     return ExperimentSpec(
         name=name,
         data=data,
-        grid_m=grid_params["M"],
-        delta_xi=grid_params["delta_xi"],
-        config=config,
         axis=axis,
         values=tuple(values),
-        eval_grid=eval_grid,
-        weight=weight,
+        points=points,
+        eval_grid=_parse_eval_grid(payload),
+        weight=checked_weight(payload.get("weight", WEIGHT_BRACKET)),
     )
 
 
-def _run_sweep_point(spec: ExperimentSpec, value: float, out_dir: str, index: int) -> dict:
+def _run_sweep_point(spec: ExperimentSpec, index: int, out_dir: str) -> dict:
+    value, (grid, config) = spec.values[index], spec.points[index]
     artifact = f"{spec.name}_{spec.axis}_{index:03d}.csv"
     path = os.path.join(out_dir, artifact)
     try:
         if spec.axis == "sigma":
             interp = build_interpolant(spec.data, value)
-            norm = interpolant_sobolev_norm(interp, spec.config.alpha, weight=spec.weight)
+            norm = interpolant_sobolev_norm(interp, config.alpha, weight=spec.weight)
             _write_decay(path, [value], [norm], [interp.dominance_margin])
         else:
-            config = spec.config
-            m = spec.grid_m
-            if spec.axis == "alpha":
-                config = replace(config, alpha=value)
-            elif spec.axis == "lambda":
-                config = replace(config, lam=value)
-            elif spec.axis == "M":
-                m = int(value)
-            grid = FrequencyGrid(d=spec.data.d, M=m, delta_xi=spec.delta_xi)
             _write_reconstruction(fit(grid, spec.data, config), [spec.eval_grid], path)
         return {"value": value, "status": "ok", "artifact": artifact}
     except _INPUT_ERRORS + _NUMERICAL_ERRORS as exc:
@@ -214,7 +195,7 @@ def _cmd_sweep(args) -> int:
         payload = json.load(handle)
     spec = parse_experiment_spec(payload)
     os.makedirs(args.output_dir, exist_ok=True)
-    entries = [_run_sweep_point(spec, v, args.output_dir, i) for i, v in enumerate(spec.values)]
+    entries = [_run_sweep_point(spec, i, args.output_dir) for i in range(len(spec.values))]
     manifest = {"name": spec.name, "axis": spec.axis, "weight": spec.weight, "points": entries}
     io.write_json(os.path.join(args.output_dir, f"{spec.name}_manifest.json"), manifest)
     succeeded = sum(1 for e in entries if e["status"] == "ok")
@@ -334,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--sigma-min", type=float, default=10**-3.25)
     p_crit.add_argument("--count", type=int, default=9)
     p_crit.add_argument(
-        "--weight", choices=[WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS], default=WEIGHT_BRACKET
+        "--weight", choices=WEIGHTS, default=WEIGHT_BRACKET
     )
     p_crit.add_argument("-o", "--output", required=True, help="(sigma, norm) CSV path")
     p_crit.add_argument("--verdict", help="classification JSON path")
@@ -345,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--alpha", type=float, required=True)
     p_sub.add_argument("--sigmas", required=True, help="comma-separated widths, decreasing")
     p_sub.add_argument(
-        "--weight", choices=[WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS], default=WEIGHT_BRACKET
+        "--weight", choices=WEIGHTS, default=WEIGHT_BRACKET
     )
     p_sub.add_argument("-o", "--output", required=True, help="decay CSV path")
     p_sub.set_defaults(func=_cmd_subcritical)

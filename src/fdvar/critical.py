@@ -30,6 +30,7 @@ GAUSS_RATE = 4.0 * math.pi**2
 
 WEIGHT_BRACKET = "bracket"
 WEIGHT_HOMOGENEOUS = "homogeneous"
+WEIGHTS = (WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS)
 
 _SLOPE_BAND = 0.05
 _TERMINAL_BAND = 0.01
@@ -114,11 +115,9 @@ def _pair_term(d: int, alpha: float, sigma: float, distance: float, weight: str)
     exp(-4 pi^2 sigma^2 r^2) r^(d-1) m_d(2 pi r distance) dr``, with ``m_d``
     the angular mean of cos.
     """
-    if weight == WEIGHT_BRACKET:
+    if checked_weight(weight) == WEIGHT_BRACKET:
         return _panel_integral(d, alpha, sigma, distance, d - 1.0, 0.5 * alpha)
-    if weight == WEIGHT_HOMOGENEOUS:
-        return _panel_integral(d, alpha, sigma, distance, alpha + d - 1.0, 0.0)
-    raise ValueError(f"unknown weight {weight!r}")
+    return _panel_integral(d, alpha, sigma, distance, alpha + d - 1.0, 0.0)
 
 
 def gaussian_radial_moment(k: int) -> float:
@@ -174,6 +173,13 @@ def gaussian_homogeneous_norm(d: int, alpha: float, sigma: float) -> float:
     return value
 
 
+def checked_weight(weight) -> str:
+    """The name of a spectral weight: one of ``WEIGHTS``."""
+    if weight not in WEIGHTS:
+        raise ValueError(f"weight must be one of {WEIGHTS}, got {weight!r}")
+    return weight
+
+
 def checked_widths(sigmas, count: int) -> np.ndarray:
     """``sigmas`` as floats: at least ``count`` widths, positive, finite, strictly decreasing."""
     sigmas = np.asarray(sigmas, dtype=float)
@@ -220,12 +226,8 @@ def trichotomy_sweep(d: int, alpha: float, sigmas, weight: str = WEIGHT_BRACKET)
     that misses the constant is reported as ``indeterminate``.
     """
     sigmas = checked_widths(sigmas, 3)
-    if weight == WEIGHT_BRACKET:
-        norm_fn = gaussian_sobolev_norm
-    elif weight == WEIGHT_HOMOGENEOUS:
-        norm_fn = gaussian_homogeneous_norm
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
+    bracket = checked_weight(weight) == WEIGHT_BRACKET
+    norm_fn = gaussian_sobolev_norm if bracket else gaussian_homogeneous_norm
     norms = np.array([norm_fn(d, alpha, s) for s in sigmas])
     slope = log_log_slope(sigmas, norms)
     if slope > _SLOPE_BAND:

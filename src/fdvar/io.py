@@ -1,22 +1,27 @@
-"""Dataset ingestion, config parsing, and model persistence.
+"""Dataset ingestion, settings, and model persistence.
 
 Datasets arrive as CSV (d coordinate columns then one label column, header
 row required) or as a JSON array of records whose fields mirror the same
-column layout.  CSV artifacts are float tables, JSON artifacts are compact
-single lines, and every float is written as its ``repr``.  Model files store
-(re, im) coefficient pairs in flat-index order; save/load/save is byte-stable
-and indented model files still load.  ``model_from_dict`` is their one check:
-every fault is a ``ValueError``, which the CLI maps to exit 2.  JSON numbers,
-save the coefficient array, pass a rule of ``errors``: ``true`` is not one.
+column layout.  ``settings`` is the one reader of the settings block (``M``,
+``delta_xi``, ``alpha``, ``lambda``, ``solve_tolerance``,
+``memory_budget_mb``), for config files and sweep specs alike.  CSV artifacts
+are float tables, JSON artifacts are compact single lines, and every float is
+written as its ``repr``.  Model files store (re, im) coefficient pairs in
+flat-index order; save/load/save is byte-stable and indented model files
+still load.  ``model_from_dict`` is their one check: every fault is a
+``ValueError``, which the CLI maps to exit 2.  Every JSON number passes a rule
+of ``errors`` or a type scan: ``true`` and ``"0.25"`` are not numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import tempfile
+
 import numpy as np
 
 from .core import Dataset, FittedModel, SolveConfig, SpectralCoefficients
@@ -27,8 +32,7 @@ _MODEL_FORMAT = "fdvar-model"
 _MODEL_VERSION = 1
 _HERMITIAN_TOL = 1e-8  # relative to the largest coefficient
 
-_REQUIRED_CONFIG = ("alpha", "lambda", "M", "delta_xi")
-_OPTIONAL_CONFIG = ("solve_tolerance", "memory_budget_mb")
+_SETTINGS = ("alpha", "lambda", "M", "delta_xi", "solve_tolerance", "memory_budget_mb")
 
 
 # ---------------------------------------------------------------------------
@@ -159,57 +163,50 @@ def dataset_from_points(points) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# config files (flat key = value namespace)
+# settings: config files (flat key = value namespace) and sweep specs
 # ---------------------------------------------------------------------------
-def parse_config_text(text: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def parse_config_text(text: str) -> dict[str, float | str]:
+    """A config file's ``key = value`` lines; a value that parses as a float is one."""
+    entries: dict[str, float | str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         for sep in ("=", ":"):
             if sep in stripped:
-                key, value = stripped.split(sep, 1)
-                entries[key.strip()] = value.strip()
+                key, value = (part.strip() for part in stripped.split(sep, 1))
+                try:
+                    entries[key] = float(value)
+                except ValueError:
+                    entries[key] = value  # text, which its quantity's rule rejects by name
                 break
         else:
             raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
     return entries
 
 
-def config_from_entries(entries: dict[str, str]) -> tuple[dict, SolveConfig]:
-    """Split a flat config namespace into grid parameters and solver settings.
+def settings(fields: dict, d: int) -> tuple[FrequencyGrid, SolveConfig]:
+    """The grid and solver settings of ``fields``, for data of dimension ``d``.
 
-    A key that names no field is an error, so a misspelt setting cannot fall
-    back to its default unnoticed.  Optional keys that are absent take
-    ``SolveConfig``'s defaults.
+    A key that names no setting is an error, so a misspelt setting cannot fall
+    back to its default unnoticed.  ``alpha``, ``lambda``, ``M`` and
+    ``delta_xi`` are required; absent optional keys take ``SolveConfig``'s
+    defaults.  The constructors apply each quantity's rule.
     """
-    unknown = sorted(set(entries) - set(_REQUIRED_CONFIG) - set(_OPTIONAL_CONFIG))
+    unknown = sorted(set(fields) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
-    for field in _REQUIRED_CONFIG:
-        if field not in entries:
-            raise ValueError(f"config missing required field '{field}'")
-
-    def number(field: str) -> float:
-        try:
-            return float(entries[field])
-        except ValueError as exc:
-            raise ValueError(f"config field '{field}' must be a number") from exc
-
-    grid_params = {"M": positive_int("M", number("M")), "delta_xi": number("delta_xi")}
-
-    config = SolveConfig(
-        alpha=number("alpha"),
-        lam=number("lambda"),
-        **{field: number(field) for field in _OPTIONAL_CONFIG if field in entries},
-    )
-    return grid_params, config
+    for key in _SETTINGS[:4]:
+        if key not in fields:
+            raise ValueError(f"config missing required field '{key}'")
+    optional = {key: fields[key] for key in _SETTINGS[4:] if key in fields}
+    grid = FrequencyGrid(d=d, M=fields["M"], delta_xi=fields["delta_xi"])
+    return grid, SolveConfig(alpha=fields["alpha"], lam=fields["lambda"], **optional)
 
 
-def load_config(path: str) -> tuple[dict, SolveConfig]:
+def load_config(path: str, d: int) -> tuple[FrequencyGrid, SolveConfig]:
     with open(path, "r", encoding="utf-8") as handle:
-        return config_from_entries(parse_config_text(handle.read()))
+        return settings(parse_config_text(handle.read()), d)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +230,15 @@ def model_to_dict(model: FittedModel) -> dict:
         "residuals": model.residuals.tolist(),
         "coefficients": np.column_stack([values.real, values.imag]).tolist(),
     }
+
+
+def _number_pairs(_, pairs) -> np.ndarray:
+    """Coefficient pairs as a float array: ``np.asarray`` alone would take ``true``
+    and ``"0.25"``, so every entry's type is scanned first."""
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        bad = ((i, p) for i, p in enumerate(pairs) if not set(map(type, p)) <= {int, float})
+        raise ValueError("pair {} is {!r}, not JSON numbers".format(*next(bad)))
+    return np.asarray(pairs, dtype=float)
 
 
 def model_from_dict(payload: dict) -> FittedModel:
@@ -264,7 +270,7 @@ def model_from_dict(payload: dict) -> FittedModel:
         solve_tolerance=field("config.solve_tolerance", positive_real),
         memory_budget_mb=field("config.memory_budget_mb", positive_real),
     )
-    pairs = field("coefficients", lambda _, v: np.asarray(v, dtype=float))
+    pairs = field("coefficients", _number_pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("model coefficients must be (re, im) pairs")
     # Before the defect: a NaN defect compares false against any limit.

@@ -332,6 +332,8 @@ def test_sweep_sigma_axis_runs_decay(tmp_path):
         ({"name": "a/b"}, "'name'"),
         ({"name": [1]}, "'name'"),
         ({"name": ""}, "'name'"),
+        ({"grid": {"M": 10, "delta_xi": 0.1, "alpha": 2}}, "'grid' takes only M and delta_xi"),
+        ({"grid": {"M": 10}}, "config missing required field 'delta_xi'"),
     ],
 )
 def test_sweep_malformed_spec_exit_2(tmp_path, capsys, overrides, message):
@@ -373,6 +375,33 @@ def test_sweep_point_programming_error_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(fdvar.cli, "fit", broken_fit)
     with pytest.raises(TypeError, match="broken fit"):
         main(["sweep", sweep_spec(tmp_path), "-d", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("axis,value", [("lambda", 0.25), ("alpha", 3.0), ("M", 7.0)])
+def test_sweep_point_is_fit_and_eval_on_its_settings(tmp_path, axis, value):
+    # a point is the spec's settings with the swept key set, read as a config file's are
+    dataset = tmp_path / "pair.csv"
+    dataset.write_text("x1,x2,y\n-0.5,0.25,0.9\n0.5,-0.25,0.4\n", encoding="utf-8")
+    fields = {"M": 6, "delta_xi": 0.1, "alpha": 2.5, "lambda": 0.5, "solve_tolerance": 1e-9}
+    grid = {key: fields.pop(key) for key in ("M", "delta_xi")}
+    spec = sweep_spec(
+        tmp_path,
+        dataset=str(dataset),
+        grid=grid,
+        config=fields,
+        sweep={"axis": axis, "values": [value]},
+        eval_grid={"min": -1, "max": 1, "points": 9},
+    )
+    assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 0
+    config = {**grid, **fields, axis: value}
+    (tmp_path / "config.txt").write_text(
+        "".join(f"{key} = {v!r}\n" for key, v in config.items()), encoding="utf-8"
+    )
+    model, recon = str(tmp_path / "model.json"), str(tmp_path / "recon.csv")
+    assert main(["fit", str(tmp_path / "config.txt"), str(dataset), "-o", model]) == 0
+    assert main(["eval", model, "--grid=-1:1:9", "-o", recon]) == 0
+    swept = (tmp_path / "out" / f"demo_{axis}_000.csv").read_bytes()
+    assert swept == (tmp_path / "recon.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,16 @@ def json_dataset(records):
 
 
 def model_with(path, value):
-    """Fit the one-point model, set the model file's field at ``path`` to ``value``, then eval."""
+    """Fit the one-point model, set the model file's field at ``path`` to ``value``, then eval.
+
+    A numeric segment of ``path`` indexes a list, as ``coefficients.10``.
+    """
 
     def argv(tmp_path):
         assert main(fit_argv(tmp_path)) == 0
         model = tmp_path / "model.json"
         payload = json.loads(model.read_text(encoding="utf-8"))
-        *parents, key = path.split(".")
+        *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
         target = payload
         for parent in parents:
             target = target[parent]
@@ -111,11 +114,32 @@ CLI_CASES = {
     "model-residuals-true": (
         model_with("residuals", [True]), "residuals[0] must be nonnegative and finite, got True"
     ),
+    "model-pair-true": (
+        model_with("coefficients.10", [True, 0.0]), "pair 10 is [True, 0.0], not JSON numbers"
+    ),
+    "model-pair-string": (
+        model_with("coefficients.10", ["0.25", 0.0]), "pair 10 is ['0.25', 0.0], not JSON numbers"
+    ),
     "dataset-record-true": (
         json_dataset([{"x": True, "y": 1.0}]), "dataset record 0 field 'x' must be a finite number"
     ),
     "sweep-point-true": (
         sweep_with(dataset={"points": [[True, 0.9]]}), "dataset points[0][0] must be a finite number"
+    ),
+    "sweep-grid-M-string": (
+        sweep_with(grid={"M": "3", "delta_xi": 0.1}), "M must be a positive integer, got '3'"
+    ),
+    "sweep-config-alpha-string": (
+        sweep_with(config={"alpha": "2", "lambda": 1}, sweep={"axis": "lambda", "values": [1]}),
+        "alpha must be positive and finite, got '2'",
+    ),
+    "sweep-config-solve_tolerance-string": (
+        sweep_with(config={"alpha": 2, "lambda": 1, "solve_tolerance": "1e-10"}),
+        "solve_tolerance must be positive and finite, got '1e-10'",
+    ),
+    "sweep-sigma-lambda-negative": (  # the sigma axis's default lambda never hides the spec's
+        sweep_with(config={"alpha": 2, "lambda": -1}, sweep={"axis": "sigma", "values": [0.1]}),
+        "lambda must be nonnegative and finite, got -1",
     ),
     "sweep-eval_grid-min-true": (
         sweep_with(eval_grid={"min": True, "max": 2.0, "points": 11}),

@@ -84,8 +84,8 @@ delta_xi = 0.1
 
 
 def test_config_parse(tmp_path):
-    grid_params, config = io.load_config(write(tmp_path / "c.txt", CONFIG_TEXT))
-    assert grid_params == {"M": 100, "delta_xi": 0.1}
+    grid, config = io.load_config(write(tmp_path / "c.txt", CONFIG_TEXT), 2)
+    assert grid == FrequencyGrid(d=2, M=100, delta_xi=0.1)
     assert config == SolveConfig(alpha=4.0, lam=0.5)
 
 
@@ -93,12 +93,12 @@ def test_config_parse(tmp_path):
 def test_config_missing_field_named(tmp_path, missing):
     lines = [l for l in CONFIG_TEXT.splitlines() if not l.strip().startswith(missing)]
     with pytest.raises(ValueError, match=missing):
-        io.load_config(write(tmp_path / "c.txt", "\n".join(lines)))
+        io.load_config(write(tmp_path / "c.txt", "\n".join(lines)), 1)
 
 
 def test_config_bad_values(tmp_path):
     with pytest.raises(ValueError, match="M must be a positive integer, got 2.5"):
-        io.config_from_entries({"alpha": "1", "lambda": "1", "M": "2.5", "delta_xi": "0.1"})
+        io.settings({"alpha": 1.0, "lambda": 1.0, "M": 2.5, "delta_xi": 0.1}, 1)
     with pytest.raises(ValueError, match="not 'key = value'"):
         io.parse_config_text("alpha 4")
 
@@ -110,7 +110,7 @@ def test_config_unknown_key_named(tmp_path, key):
     # a misspelt or removed setting must not silently fall back to a default
     path = write(tmp_path / "c.txt", CONFIG_TEXT + f"{key} = svd\n")
     with pytest.raises(ValueError, match=key):
-        io.load_config(path)
+        io.load_config(path, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Each input quantity's rule is stated once, in ``fdvar/errors.py``.
+"""Each input rule is stated once.
 
-Every other module calls ``positive_int``, ``positive_real``,
-``nonnegative_real`` or ``finite_real``; a message of its own about one of
-the grid and solver quantities would be a second copy of a rule.
+The rule of each grid and solver quantity lives in ``fdvar/errors.py``:
+every other module calls ``positive_int``, ``positive_real``,
+``nonnegative_real`` or ``finite_real``, and a message of its own about one
+of those quantities would be a second copy of a rule.  The rule of a
+spectral weight's name lives in ``fdvar/critical.py``, as ``checked_weight``.
 """
 
 import re
@@ -14,15 +16,26 @@ QUANTITIES = (
     "solve_tolerance", "memory_budget_mb",
 )  # fmt: skip
 COPY = re.compile(rf"\b({'|'.join(QUANTITIES)}) must be\b")
+WEIGHT_COPY = re.compile(r"unknown weight|weight must be")
+
+
+def copies_outside(pattern, home):
+    """Lines of the package, outside the module ``home``, that match ``pattern``."""
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == home:
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if pattern.search(line):
+                copies.append(f"{path.name}:{lineno}: {line.strip()}")
+    return copies
 
 
 def test_rules_stated_only_in_errors():
     assert COPY.search('raise ValueError("alpha must be positive")')  # the guard sees a copy
-    copies = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "errors.py":
-            continue
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            if COPY.search(line):
-                copies.append(f"{path.name}:{lineno}: {line.strip()}")
-    assert copies == []
+    assert copies_outside(COPY, "errors.py") == []
+
+
+def test_weight_rule_stated_only_in_critical():
+    assert WEIGHT_COPY.search('raise ValueError(f"unknown weight {weight!r}")')
+    assert copies_outside(WEIGHT_COPY, "critical.py") == []
