@@ -22,20 +22,18 @@ import numpy as np
 
 from . import closed_form, io
 from .core import Dataset, SolveConfig
-from .critical import WEIGHT_BRACKET, WEIGHTS, checked_weight, checked_widths, critical_constant
+from .critical import WEIGHT_BRACKET, WEIGHTS, checked_widths, critical_constant
 from .critical import trichotomy_sweep
 from .errors import CapacityError, QuadratureError, SolverError
 from .errors import finite_real, nonnegative_real, positive_int, positive_real
 from .grid import FrequencyGrid
 from .solver import fit
-from .subcritical import build_interpolant, decay_sweep, interpolant_sobolev_norm
+from .subcritical import decay_sweep
 from .verify import run_verification
 
 _INPUT_ERRORS = (ValueError, OSError)  # io.load_model raises ValueError: eval never exits 3
 _NUMERICAL_ERRORS = (SolverError, CapacityError, QuadratureError)
-_SWEEP_AXES = {  # each sweep axis and the rule of its quantity
-    "alpha": positive_real, "M": positive_int, "sigma": positive_real, "lambda": nonnegative_real
-}
+_SWEEP_AXES = {"alpha": positive_real, "M": positive_int, "lambda": nonnegative_real}  # axis -> rule
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +78,6 @@ def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: st
     return values
 
 
-def _write_decay(path: str, sigmas, norms, margins) -> None:
-    """Write kernel-interpolant norms by width as ``sigma,norm,dominance_margin``."""
-    table = np.column_stack([sigmas, norms, margins])
-    io.write_csv(path, ["sigma", "norm", "dominance_margin"], table)
-
-
 # ---------------------------------------------------------------------------
 # fit / eval
 # ---------------------------------------------------------------------------
@@ -126,7 +118,6 @@ class ExperimentSpec:
     values: tuple[float, ...]
     points: tuple[tuple[FrequencyGrid, SolveConfig], ...]  # one per value
     eval_grid: tuple[float, float, int]
-    weight: str
 
 
 def parse_experiment_spec(payload: dict) -> ExperimentSpec:
@@ -158,11 +149,12 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         raise ValueError(f"sweep.values must be a nonempty array, got {values!r}")
     rule = _SWEEP_AXES[axis]
     values = [float(rule(f"sweep.values[{i}] on axis '{axis}'", v)) for i, v in enumerate(values)]
-    fields = {**payload.get("config", {}), **grid_fields}
-    if axis == "sigma":  # no setting: a width point reads only alpha, so lambda may be absent
-        points = (io.settings({"lambda": 1.0, **fields}, data.d),) * len(values)
-    else:  # a point is the spec's settings with the swept key set
-        points = tuple(io.settings({**fields, axis: value}, data.d) for value in values)
+    config = payload.get("config", {})
+    both = sorted(set(config) & set(grid_fields))
+    if both:
+        raise ValueError(f"setting {both[0]!r} is given in both 'grid' and 'config'")
+    fields = {**config, **grid_fields}
+    points = tuple(io.settings({**fields, axis: value}, data.d) for value in values)
     return ExperimentSpec(
         name=name,
         data=data,
@@ -170,7 +162,6 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
         values=tuple(values),
         points=points,
         eval_grid=_parse_eval_grid(payload),
-        weight=checked_weight(payload.get("weight", WEIGHT_BRACKET)),
     )
 
 
@@ -179,12 +170,7 @@ def _run_sweep_point(spec: ExperimentSpec, index: int, out_dir: str) -> dict:
     artifact = f"{spec.name}_{spec.axis}_{index:03d}.csv"
     path = os.path.join(out_dir, artifact)
     try:
-        if spec.axis == "sigma":
-            interp = build_interpolant(spec.data, value)
-            norm = interpolant_sobolev_norm(interp, config.alpha, weight=spec.weight)
-            _write_decay(path, [value], [norm], [interp.dominance_margin])
-        else:
-            _write_reconstruction(fit(grid, spec.data, config), [spec.eval_grid], path)
+        _write_reconstruction(fit(grid, spec.data, config), [spec.eval_grid], path)
         return {"value": value, "status": "ok", "artifact": artifact}
     except _INPUT_ERRORS + _NUMERICAL_ERRORS as exc:
         return {"value": value, "status": f"error: {exc}", "artifact": None}
@@ -196,7 +182,7 @@ def _cmd_sweep(args) -> int:
     spec = parse_experiment_spec(payload)
     os.makedirs(args.output_dir, exist_ok=True)
     entries = [_run_sweep_point(spec, i, args.output_dir) for i in range(len(spec.values))]
-    manifest = {"name": spec.name, "axis": spec.axis, "weight": spec.weight, "points": entries}
+    manifest = {"name": spec.name, "axis": spec.axis, "points": entries}
     io.write_json(os.path.join(args.output_dir, f"{spec.name}_manifest.json"), manifest)
     succeeded = sum(1 for e in entries if e["status"] == "ok")
     print(f"sweep {spec.name}: {succeeded}/{len(entries)} points succeeded")
@@ -254,7 +240,8 @@ def _cmd_subcritical(args) -> int:
     except ValueError:
         raise ValueError(f"--sigmas must be comma-separated numbers, got {args.sigmas!r}")
     sweep = decay_sweep(data, args.alpha, sigmas, weight=args.weight)
-    _write_decay(args.output, sweep.sigmas, sweep.norms, sweep.margins)
+    table = np.column_stack([sweep.sigmas, sweep.norms, sweep.margins])
+    io.write_csv(args.output, ["sigma", "norm", "dominance_margin"], table)
     print(f"points={len(sweep.sigmas)} fitted_slope={io.format_float(sweep.fitted_slope)}")
     return 0
 

@@ -78,11 +78,12 @@ def dataset_hash(data: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _parse_cell(cell: str, where: str) -> float:
+def _parse_cell(cell: str, row: int, column: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError as exc:
-        raise ValueError(f"{where}: cannot parse {cell!r} as a number") from exc
+        raise ValueError(f"row {row}: cannot parse {cell!r} as a number") from exc
+    return finite_real(f"dataset row {row} column {column}", value)
 
 
 def _dataset_from_rows(rows: list[list[float]]) -> Dataset:
@@ -114,7 +115,7 @@ def _load_dataset_csv(path: str) -> Dataset:
     if header_numeric:
         raise ValueError("dataset CSV must start with a header row")
     rows = [
-        [_parse_cell(cell.strip(), f"row {i + 2}") for cell in row]
+        [_parse_cell(cell.strip(), i + 2, j + 1) for j, cell in enumerate(row)]
         for i, row in enumerate(raw[1:])
     ]
     return _dataset_from_rows(rows)

@@ -1,8 +1,7 @@
 """Self-contained cross-checks runnable from a fresh checkout.
 
 Each check exercises one oracle pair at desk scale and reports PASS/FAIL
-with a one-line detail.  The expected-value table and the backend agreement
-tolerance are injectable so negative controls can prove the checks can fail.
+with a one-line detail.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ PLANE_DATA = Dataset(
     X=[[-1.5, 0.5], [-0.5, 0.5], [0.5, 0.5], [1.5, 0.5]],
     Y=[1.0, 0.9, 0.9, 1.0],
 )
+_AGREEMENT_TOL = 1e-8  # largest relative spread allowed between the three backends
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
     return fit(grid, TWO_POINT_DATA, SolveConfig(alpha=alpha, lam=lam))
 
 
-def _check_closed_form(ctx: dict) -> tuple[bool, str]:
+def _check_closed_form(seed: int) -> tuple[bool, str]:
     params = closed_form.ClosedFormParams(M=200, delta_xi=0.01, alpha=4.0, lam=1.0)
     system = closed_form.assembled_system(params, label=2.0)
     xs = np.linspace(-0.5, 0.5, 201)
@@ -87,16 +87,15 @@ def _check_closed_form(ctx: dict) -> tuple[bool, str]:
     return worst <= 1e-8, f"sup_err={worst:.3e} (tol 1e-08)"
 
 
-def _check_critical_constants(ctx: dict) -> tuple[bool, str]:
-    table = ctx["c_d_table"] or {d: critical_constant(d) for d in (1, 2)}
+def _check_critical_constants(seed: int) -> tuple[bool, str]:
     worst = 0.0
-    for d, target in sorted(table.items()):
+    for d in (1, 2):
         value = gaussian_sobolev_norm(d, float(d), 1e-3)
-        worst = max(worst, abs(value / target - 1.0))
+        worst = max(worst, abs(value / critical_constant(d) - 1.0))
     return worst <= 0.01, f"max_rel_err={worst:.3e} (tol 1e-02)"
 
 
-def _check_moments(ctx: dict) -> tuple[bool, str]:
+def _check_moments(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for k in range(1, 9):
         quad_value = gaussian_radial_moment(k)
@@ -105,14 +104,13 @@ def _check_moments(ctx: dict) -> tuple[bool, str]:
     return worst <= 1e-10, f"max_rel_err={worst:.3e} (tol 1e-10)"
 
 
-def _check_backend_agreement(ctx: dict) -> tuple[bool, str]:
-    rng = np.random.default_rng(ctx["seed"])
-    tol = ctx["agreement_tol"]
+def _check_backend_agreement(seed: int) -> tuple[bool, str]:
+    rng = np.random.default_rng(seed)
     worst = max(backend_spread(random_small_system(rng)) for _ in range(8))
-    return worst <= tol, f"max_pairwise_rel={worst:.3e} (tol {tol:.0e})"
+    return worst <= _AGREEMENT_TOL, f"max_pairwise_rel={worst:.3e} (tol {_AGREEMENT_TOL:.0e})"
 
 
-def _check_band_limit_overlap(ctx: dict) -> tuple[bool, str]:
+def _check_band_limit_overlap(seed: int) -> tuple[bool, str]:
     xs = np.linspace(-1.0, 1.0, 801)
     coarse = two_point_model(100).evaluate(xs).real
     fine = two_point_model(400)
@@ -122,7 +120,7 @@ def _check_band_limit_overlap(ctx: dict) -> tuple[bool, str]:
     return ok, f"sup_diff={sup:.3e} (tol 2e-02), data_resid={resid:.3e} (tol 5e-02)"
 
 
-def _check_subcritical_spike(ctx: dict) -> tuple[bool, str]:
+def _check_subcritical_spike(seed: int) -> tuple[bool, str]:
     model = two_point_model(400, alpha=0.5)
     xs = np.linspace(-1.0, 1.0, 801)
     values = model.evaluate(xs).real
@@ -133,7 +131,7 @@ def _check_subcritical_spike(ctx: dict) -> tuple[bool, str]:
     return ok, f"off_support={off:.3e} (<5e-02), peak={peak:.3f} (>0.5)"
 
 
-def _check_construction_decay(ctx: dict) -> tuple[bool, str]:
+def _check_construction_decay(seed: int) -> tuple[bool, str]:
     sweep = decay_sweep(PLANE_DATA, 1.0, [0.1, 0.05, 0.025], weight=WEIGHT_HOMOGENEOUS)
     slope_ok = abs(sweep.fitted_slope - 1.0) <= 0.1
     margins_ok = bool(np.all(sweep.margins > 0))
@@ -145,14 +143,14 @@ def _check_construction_decay(ctx: dict) -> tuple[bool, str]:
     )
 
 
-def _check_penalty_relaxation(ctx: dict) -> tuple[bool, str]:
+def _check_penalty_relaxation(seed: int) -> tuple[bool, str]:
     tight = float(np.max(two_point_model(200, lam=1e-4).residuals))
     loose = float(np.max(two_point_model(200, lam=1.0).residuals))
     ok = tight < loose / 10.0
     return ok, f"resid(1e-4)={tight:.3e} < resid(1)/10={loose / 10.0:.3e}"
 
 
-_CHECKS = [
+_CHECKS = [  # (name, check); each check takes the seed, which only backend-agreement reads
     ("closed-form-oracle", _check_closed_form),
     ("critical-constants", _check_critical_constants),
     ("moment-identities", _check_moments),
@@ -164,25 +162,12 @@ _CHECKS = [
 ]
 
 
-def run_verification(
-    names: list[str] | None = None,
-    c_d_table: dict[int, float] | None = None,
-    agreement_tol: float = 1e-8,
-    seed: int = 0,
-) -> list[CheckResult]:
-    """Run the named checks (all by default) and collect their results."""
-    ctx = {"c_d_table": c_d_table, "agreement_tol": agreement_tol, "seed": seed}
-    known = {name for name, _ in _CHECKS}
-    if names is not None:
-        unknown = set(names) - known
-        if unknown:
-            raise ValueError(f"unknown check names: {sorted(unknown)}")
+def run_verification(seed: int = 0) -> list[CheckResult]:
+    """Run every check and collect the results; ``seed`` draws backend-agreement's systems."""
     results = []
     for name, check in _CHECKS:
-        if names is not None and name not in names:
-            continue
         try:
-            passed, detail = check(ctx)
+            passed, detail = check(seed)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"error: {exc}"
         results.append(CheckResult(name=name, passed=passed, detail=detail))

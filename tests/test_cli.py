@@ -304,20 +304,6 @@ def test_sweep_bad_eval_grid_exit_2(tmp_path, capsys, eval_grid, message):
     assert not out.exists()
 
 
-def test_sweep_sigma_axis_runs_decay(tmp_path):
-    spec = sweep_spec(
-        tmp_path,
-        dataset={"points": [[-0.5, 0.9], [0.5, 0.9]]},
-        config={"alpha": 1.0, "lambda": 1},
-        sweep={"axis": "sigma", "values": [0.1, 0.05]},
-    )
-    out = tmp_path / "out"
-    assert main(["sweep", spec, "-d", str(out)]) == 0
-    lines = (out / "demo_sigma_000.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "sigma,norm,dominance_margin"
-    assert len(lines) == 2
-
-
 @pytest.mark.parametrize(
     "overrides,message",
     [
@@ -334,6 +320,7 @@ def test_sweep_sigma_axis_runs_decay(tmp_path):
         ({"name": ""}, "'name'"),
         ({"grid": {"M": 10, "delta_xi": 0.1, "alpha": 2}}, "'grid' takes only M and delta_xi"),
         ({"grid": {"M": 10}}, "config missing required field 'delta_xi'"),
+        ({"sweep": {"axis": "sigma", "values": [0.1]}}, "sweep.axis must be one of"),
     ],
 )
 def test_sweep_malformed_spec_exit_2(tmp_path, capsys, overrides, message):
@@ -512,24 +499,6 @@ def test_critical_overflow_exits_3(tmp_path, capsys, sweep):
     assert main(["critical", "--dim", "1"] + sweep + out) == 3
     assert not (tmp_path / "c.csv").exists() and not (tmp_path / "v.json").exists()
     _assert_named_overflow(capsys)
-
-
-def test_sigma_sweep_point_writes_the_subcritical_row(tmp_path):
-    dataset = tmp_path / "pair.csv"
-    dataset.write_text("x,y\n-0.5,0.9\n0.5,0.9\n", encoding="utf-8")
-    decay = tmp_path / "decay.csv"
-    args = ["subcritical", str(dataset), "--alpha", "1", "--sigmas", "0.1,0.05", "-o", str(decay)]
-    assert main(args) == 0
-    spec = sweep_spec(
-        tmp_path,
-        dataset=str(dataset),
-        config={"alpha": 1},
-        sweep={"axis": "sigma", "values": [0.05]},
-    )
-    assert main(["sweep", spec, "-d", str(tmp_path / "out")]) == 0
-    rows = decay.read_text(encoding="utf-8").splitlines()
-    point = (tmp_path / "out" / "demo_sigma_000.csv").read_text(encoding="utf-8")
-    assert point.splitlines() == [rows[0], rows[2]]  # the header, then the sigma = 0.05 row
 
 
 def test_closedform_command(tmp_path):

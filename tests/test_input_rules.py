@@ -123,6 +123,10 @@ CLI_CASES = {
     "dataset-record-true": (
         json_dataset([{"x": True, "y": 1.0}]), "dataset record 0 field 'x' must be a finite number"
     ),
+    "dataset-csv-nan": (
+        lambda tmp_path: fit_argv(tmp_path, dataset=("points.csv", "x,y\n0.0,nan\n")),
+        "dataset row 2 column 2 must be a finite number, got nan",
+    ),
     "sweep-point-true": (
         sweep_with(dataset={"points": [[True, 0.9]]}), "dataset points[0][0] must be a finite number"
     ),
@@ -137,9 +141,9 @@ CLI_CASES = {
         sweep_with(config={"alpha": 2, "lambda": 1, "solve_tolerance": "1e-10"}),
         "solve_tolerance must be positive and finite, got '1e-10'",
     ),
-    "sweep-sigma-lambda-negative": (  # the sigma axis's default lambda never hides the spec's
-        sweep_with(config={"alpha": 2, "lambda": -1}, sweep={"axis": "sigma", "values": [0.1]}),
-        "lambda must be nonnegative and finite, got -1",
+    "sweep-M-in-grid-and-config": (
+        sweep_with(config={"alpha": 2, "lambda": 1, "M": 50}),
+        "setting 'M' is given in both 'grid' and 'config'",
     ),
     "sweep-eval_grid-min-true": (
         sweep_with(eval_grid={"min": True, "max": 2.0, "points": 11}),
@@ -152,10 +156,6 @@ CLI_CASES = {
     "sweep-M-fraction": (
         sweep_with(sweep={"axis": "M", "values": [4, 2.5]}),
         "sweep.values[1] on axis 'M' must be a positive integer, got 2.5",
-    ),
-    "sweep-sigma-true": (
-        sweep_with(sweep={"axis": "sigma", "values": [0.1, True]}),
-        "sweep.values[1] on axis 'sigma' must be positive and finite, got True",
     ),
     "sweep-lambda-negative": (
         sweep_with(sweep={"axis": "lambda", "values": [1, -1]}),
