@@ -133,7 +133,7 @@ def parse_experiment_spec(payload: dict) -> ExperimentSpec:
     dataset = payload.get("dataset")
     if isinstance(dataset, str):
         data = io.load_dataset(dataset)
-    elif isinstance(dataset, dict) and "points" in dataset:
+    elif isinstance(dataset, dict) and isinstance(dataset.get("points"), list):
         data = io.dataset_from_points(dataset["points"])
     else:
         raise ValueError("'dataset' must be a path or {'points': [[x..., y], ...]}")
@@ -177,9 +177,7 @@ def _run_sweep_point(spec: ExperimentSpec, index: int, out_dir: str) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    spec = parse_experiment_spec(payload)
+    spec = parse_experiment_spec(io.read_json(args.spec))
     os.makedirs(args.output_dir, exist_ok=True)
     entries = [_run_sweep_point(spec, i, args.output_dir) for i in range(len(spec.values))]
     manifest = {"name": spec.name, "axis": spec.axis, "points": entries}

@@ -1,16 +1,17 @@
 """Dataset ingestion, settings, and model persistence.
 
-Datasets arrive as CSV (d coordinate columns then one label column, header
-row required) or as a JSON array of records whose fields mirror the same
-column layout.  ``settings`` is the one reader of the settings block (``M``,
-``delta_xi``, ``alpha``, ``lambda``, ``solve_tolerance``,
-``memory_budget_mb``), for config files and sweep specs alike.  CSV artifacts
-are float tables, JSON artifacts are compact single lines, and every float is
-written as its ``repr``.  Model files store (re, im) coefficient pairs in
-flat-index order; save/load/save is byte-stable and indented model files
-still load.  ``model_from_dict`` is their one check: every fault is a
-``ValueError``, which the CLI maps to exit 2.  Every JSON number passes a rule
-of ``errors`` or a type scan: ``true`` and ``"0.25"`` are not numbers.
+Datasets arrive as CSV (d coordinate columns then one label column; the header
+row is required and fixes the width) or as a JSON array of records whose
+fields mirror the same column layout.  ``settings`` is the one reader of the
+settings block (``M``, ``delta_xi``, ``alpha``, ``lambda``,
+``solve_tolerance``, ``memory_budget_mb``), for config files and sweep specs
+alike.  CSV artifacts are float tables, JSON artifacts are compact single
+lines, and every float is written as its ``repr``.  Model files store (re, im)
+coefficient pairs in flat-index order; save/load/save is byte-stable and
+indented model files still load.  ``model_from_dict`` is their one check:
+every fault is a ``ValueError``, which the CLI maps to exit 2.  Datasets and
+coefficient pairs pass one table check, ``_number_table``; ``true``, ``"0.25"``
+and a key given twice are errors.
 """
 
 from __future__ import annotations
@@ -66,6 +67,21 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    result = {}
+    for key, value in pairs:
+        if key in result:
+            raise ValueError(f"JSON key {key!r} is given twice")
+        result[key] = value
+    return result
+
+
+def read_json(path: str):
+    """A JSON file's value; a key given twice in one object is an error naming it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
 # ---------------------------------------------------------------------------
 # datasets
 # ---------------------------------------------------------------------------
@@ -78,70 +94,75 @@ def dataset_hash(data: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _parse_cell(cell: str, row: int, column: int) -> float:
+_ROW = (list, tuple, np.ndarray)
+
+
+def _number_table(rows, columns, where) -> np.ndarray:
+    """``rows`` as an n-by-len(columns) float array.  Only a table that fails the
+    type scan, the shape or ``np.isfinite`` is walked, to raise for its first row
+    of another width or its first entry that breaks ``finite_real``, named
+    ``where(i) + column``."""
+    width = len(columns)
     try:
-        value = float(cell)
-    except ValueError as exc:
-        raise ValueError(f"row {row}: cannot parse {cell!r} as a number") from exc
-    return finite_real(f"dataset row {row} column {column}", value)
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            table = np.asarray(rows, dtype=float).reshape(len(rows), width)
+            if np.isfinite(table).all():
+                return table
+    except (TypeError, ValueError, OverflowError):  # ragged, or 10**400
+        pass
+    for i, row in enumerate(rows):
+        if not isinstance(row, _ROW) or len(row) != width:
+            raise ValueError(f"{where(i)} is {row!r}, not a row of {width} numbers")
+        for column, value in zip(columns, row):
+            finite_real(where(i) + column, value)
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)  # numpy scalars, tuples
 
 
-def _dataset_from_rows(rows: list[list[float]]) -> Dataset:
-    if not rows:
+def _dataset(rows, columns, where) -> Dataset:
+    """The last column is the label; the columns fix the width."""
+    if len(rows) == 0:
         raise ValueError("dataset empty")
-    width = len(rows[0])
-    if width < 2:
+    if len(columns) < 2:
         raise ValueError("dataset rows need at least one coordinate and one label")
-    if any(len(row) != width for row in rows):
-        raise ValueError("dataset rows have inconsistent column counts")
-    table = np.asarray(rows, dtype=float)
+    table = _number_table(rows, columns, where)
     return Dataset(X=table[:, :-1], Y=table[:, -1])
 
 
+def _number_or_text(text: str) -> float | str:
+    """A CSV cell or a config value: text that is no float is kept, for its rule to reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _load_dataset_csv(path: str) -> Dataset:
+    """The header fixes the width; a row is named by its line in the file."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        raw = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not raw:
+        reader = csv.reader(handle)  # line_num: the file line of the row just read
+        table = {reader.line_num: row for row in reader if any(cell.strip() for cell in row)}
+    lines, rows = list(table), [[_number_or_text(cell) for cell in row] for row in table.values()]
+    if not rows:
         raise ValueError("dataset empty")
-    header = raw[0]
-    header_numeric = True
-    for cell in header:
-        try:
-            float(cell)
-        except ValueError:
-            header_numeric = False
-            break
-    if header_numeric:
+    if all(isinstance(cell, float) for cell in rows[0]):
         raise ValueError("dataset CSV must start with a header row")
-    rows = [
-        [_parse_cell(cell.strip(), i + 2, j + 1) for j, cell in enumerate(row)]
-        for i, row in enumerate(raw[1:])
-    ]
-    return _dataset_from_rows(rows)
+    columns = [f" column {j}" for j in range(1, len(rows[0]) + 1)]
+    return _dataset(rows[1:], columns, lambda i: f"dataset row {lines[i + 1]}")
 
 
 def _load_dataset_json(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        records = json.load(handle)
+    """The label is field ``y``, or the last field; record 0 fixes the fields."""
+    records = read_json(path)
     if not isinstance(records, list):
         raise ValueError("dataset JSON must be an array of records")
-    if not records:
-        raise ValueError("dataset empty")
     for i, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise ValueError(f"dataset record {i} is not a JSON object: {record!r}")
-    keys = list(records[0].keys())
-    if len(keys) < 2:
-        raise ValueError("dataset records need at least one coordinate and one label")
-    label_key = "y" if "y" in keys else keys[-1]
-    columns = [k for k in keys if k != label_key] + [label_key]
-    rows = []
-    for i, record in enumerate(records):
-        if set(record.keys()) != set(keys):
-            raise ValueError(f"dataset record {i} has mismatched fields")
-        rows.append([finite_real(f"dataset record {i} field {k!r}", record[k]) for k in columns])
-    return _dataset_from_rows(rows)
+        if not isinstance(record, dict) or record.keys() != records[0].keys():
+            raise ValueError(f"dataset record {i} is not a JSON object like record 0: {record!r}")
+    keys = list(records[0]) if records else []
+    label = ["y"] if "y" in keys else keys[-1:]
+    fields = [k for k in keys if k not in label] + label
+    rows = [[record[k] for k in fields] for record in records]
+    return _dataset(rows, [f" field {k!r}" for k in fields], "dataset record {}".format)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -152,15 +173,9 @@ def load_dataset(path: str) -> Dataset:
 
 
 def dataset_from_points(points) -> Dataset:
-    """Build a dataset from inline rows ``[x1, ..., xd, y]``."""
-    try:
-        rows = [
-            [finite_real(f"dataset points[{i}][{j}]", v) for j, v in enumerate(row)]
-            for i, row in enumerate(points)
-        ]
-    except TypeError as exc:
-        raise ValueError(f"dataset points must be rows of numbers, got {points!r}") from exc
-    return _dataset_from_rows(rows)
+    """Build a dataset from inline rows ``[x1, ..., xd, y]``; the first row fixes the width."""
+    width = len(points[0]) if len(points) and isinstance(points[0], _ROW) else 0
+    return _dataset(points, [f"[{j}]" for j in range(width)], "dataset points[{}]".format)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +191,9 @@ def parse_config_text(text: str) -> dict[str, float | str]:
         for sep in ("=", ":"):
             if sep in stripped:
                 key, value = (part.strip() for part in stripped.split(sep, 1))
-                try:
-                    entries[key] = float(value)
-                except ValueError:
-                    entries[key] = value  # text, which its quantity's rule rejects by name
+                if key in entries:
+                    raise ValueError(f"config line {lineno} sets {key!r} again")
+                entries[key] = _number_or_text(value)
                 break
         else:
             raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
@@ -233,18 +247,9 @@ def model_to_dict(model: FittedModel) -> dict:
     }
 
 
-def _number_pairs(_, pairs) -> np.ndarray:
-    """Coefficient pairs as a float array: ``np.asarray`` alone would take ``true``
-    and ``"0.25"``, so every entry's type is scanned first."""
-    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
-        bad = ((i, p) for i, p in enumerate(pairs) if not set(map(type, p)) <= {int, float})
-        raise ValueError("pair {} is {!r}, not JSON numbers".format(*next(bad)))
-    return np.asarray(pairs, dtype=float)
-
-
 def model_from_dict(payload: dict) -> FittedModel:
-    """The one check of a model file: a missing or malformed field, a coefficient
-    not finite or a Hermitian defect over its limit is a ``ValueError``."""
+    """The one check of a model file: a missing or malformed field, or a Hermitian
+    defect over its limit, is a ``ValueError``."""
     if not isinstance(payload, dict) or payload.get("format") != _MODEL_FORMAT:
         raise ValueError("not a model file (missing format marker)")
     if payload.get("version") != _MODEL_VERSION:
@@ -271,14 +276,9 @@ def model_from_dict(payload: dict) -> FittedModel:
         solve_tolerance=field("config.solve_tolerance", positive_real),
         memory_budget_mb=field("config.memory_budget_mb", positive_real),
     )
-    pairs = field("coefficients", _number_pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("model coefficients must be (re, im) pairs")
     # Before the defect: a NaN defect compares false against any limit.
-    bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
-    if bad.size:
-        raise ValueError(f"model coefficient pair {bad[0]} is {pairs[bad[0]].tolist()}, not finite")
-    coefficients = SpectralCoefficients(values=pairs[:, 0] + 1j * pairs[:, 1], grid=grid)
+    pairs = field("coefficients", lambda _, v: _number_table(v, (" re", " im"), "pair {}".format))
+    coefficients = SpectralCoefficients(values=pairs.view(complex)[:, 0], grid=grid)  # exact bits
     defect = coefficients.hermitian_defect()
     limit = _HERMITIAN_TOL * float(np.abs(coefficients.values).max(initial=0.0))
     if defect > limit:
@@ -297,5 +297,4 @@ def save_model(model: FittedModel, path: str) -> None:
 
 
 def load_model(path: str) -> FittedModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))
+    return model_from_dict(read_json(path))

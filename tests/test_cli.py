@@ -170,7 +170,7 @@ def no_alpha(payload):
     "edit,message",
     [
         # a NaN defect compares false against the limit, so finiteness comes first
-        (nan_pair, "pair 7 is [nan, 0.0], not finite"),
+        (nan_pair, "pair 7 re must be a finite number, got nan"),
         (grid_not_object, "model field 'grid.d' is malformed"),
         (config_not_object, "model field 'config.alpha' is malformed"),
         (fractional_m, "model field 'grid.M' is malformed"),

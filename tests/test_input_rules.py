@@ -78,6 +78,22 @@ def sweep_with(**overrides):
     return argv
 
 
+def edited(argv, name, old, new):
+    """``argv``, with the text ``old`` in its file ``name`` replaced by ``new``."""
+
+    def edit(tmp_path):
+        args = argv(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new, 1), encoding="utf-8")
+        return args
+
+    return edit
+
+
+def csv_dataset(text):
+    return lambda tmp_path: fit_argv(tmp_path, dataset=("points.csv", text))
+
+
 def closedform_label(label):
     return lambda tmp_path: [
         "closedform", "--M", "10", "--delta-xi", "0.1", "--alpha", "2", "--lambda", "1",
@@ -115,17 +131,41 @@ CLI_CASES = {
         model_with("residuals", [True]), "residuals[0] must be nonnegative and finite, got True"
     ),
     "model-pair-true": (
-        model_with("coefficients.10", [True, 0.0]), "pair 10 is [True, 0.0], not JSON numbers"
+        model_with("coefficients.10", [True, 0.0]), "pair 10 re must be a finite number, got True"
     ),
     "model-pair-string": (
-        model_with("coefficients.10", ["0.25", 0.0]), "pair 10 is ['0.25', 0.0], not JSON numbers"
+        model_with("coefficients.10", ["0.25", 0.0]), "pair 10 re must be a finite number, got '0.25'"
     ),
     "dataset-record-true": (
         json_dataset([{"x": True, "y": 1.0}]), "dataset record 0 field 'x' must be a finite number"
     ),
     "dataset-csv-nan": (
-        lambda tmp_path: fit_argv(tmp_path, dataset=("points.csv", "x,y\n0.0,nan\n")),
-        "dataset row 2 column 2 must be a finite number, got nan",
+        csv_dataset("x,y\n0.0,nan\n"), "dataset row 2 column 2 must be a finite number, got nan"
+    ),
+    "dataset-csv-wider-than-header": (
+        csv_dataset("x,y\n0.0,1.0,2.0\n"), "dataset row 2 is [0.0, 1.0, 2.0], not a row of 2 numbers"
+    ),
+    "dataset-csv-narrower-than-header": (
+        csv_dataset("x1,x2,y\n0.0,1.0,2.0\n0.5,1.0\n"),
+        "dataset row 3 is [0.5, 1.0], not a row of 3 numbers",
+    ),
+    "dataset-csv-blank-lines": (
+        csv_dataset("x,y\n\n0.0,1.0\n\n0.5,abc\n"),
+        "dataset row 5 column 2 must be a finite number, got 'abc'",
+    ),
+    "dataset-record-key-twice": (
+        edited(json_dataset([{"x": 0.0, "y": 1.0}]), "data.json", '"y": 1.0', '"y": 1.0, "y": 2.0'),
+        "JSON key 'y' is given twice",
+    ),
+    "config-alpha-twice": (config_with("alpha = 9"), "config line 5 sets 'alpha' again"),
+    "model-alpha-twice": (
+        edited(
+            model_with("config.alpha", 2.0), "model.json", '"alpha": 2.0', '"alpha": 2.0, "alpha": 9.0'
+        ),
+        "JSON key 'alpha' is given twice",
+    ),
+    "sweep-grid-M-twice": (
+        edited(sweep_with(), "spec.json", '"M": 10', '"M": 3, "M": 50'), "JSON key 'M' is given twice"
     ),
     "sweep-point-true": (
         sweep_with(dataset={"points": [[True, 0.9]]}), "dataset points[0][0] must be a finite number"

@@ -62,6 +62,9 @@ def test_load_json_last_key_label(tmp_path):
 def test_dataset_from_points():
     data = io.dataset_from_points([[0.0, 0.5, 1.0], [1.0, 0.5, 0.9]])
     assert data.d == 2 and data.n == 2
+    # library callers may pass tuples or numpy arrays, whose entries are numpy scalars
+    for points in ([(0.0, 0.5, 1.0), (1.0, 0.5, 0.9)], np.array([[0.0, 0.5, 1.0], [1.0, 0.5, 0.9]])):
+        assert io.dataset_hash(io.dataset_from_points(points)) == io.dataset_hash(data)
 
 
 def test_dataset_hash_sensitivity():

@@ -5,6 +5,8 @@ every other module calls ``positive_int``, ``positive_real``,
 ``nonnegative_real`` or ``finite_real``, and a message of its own about one
 of those quantities would be a second copy of a rule.  The rule of a
 spectral weight's name lives in ``fdvar/critical.py``, as ``checked_weight``.
+A number read from a file is checked by ``finite_real`` or a rule beside it,
+so no other module words a finiteness check of its own.
 """
 
 import re
@@ -17,6 +19,7 @@ QUANTITIES = (
 )  # fmt: skip
 COPY = re.compile(rf"\b({'|'.join(QUANTITIES)}) must be\b")
 WEIGHT_COPY = re.compile(r"unknown weight|weight must be")
+NUMBER_COPY = re.compile(r"not finite|not JSON numbers|must be a finite number")
 
 
 def copies_outside(pattern, home):
@@ -39,3 +42,8 @@ def test_rules_stated_only_in_errors():
 def test_weight_rule_stated_only_in_critical():
     assert WEIGHT_COPY.search('raise ValueError(f"unknown weight {weight!r}")')
     assert copies_outside(WEIGHT_COPY, "critical.py") == []
+
+
+def test_number_check_worded_only_in_errors():
+    assert NUMBER_COPY.search('raise ValueError(f"pair {i} is {pair!r}, not finite")')
+    assert copies_outside(NUMBER_COPY, "errors.py") == []
