@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 verification failures, 2 input errors, 3 numerical
 errors; ``main`` and each sweep point catch exactly the two tuples below.
 Config files and sweep specs are read by ``io.settings``: a sweep point is the
 spec's ``config`` and ``grid`` with the swept key set, read when the spec is.
+Flags take the same rules as files: ``io.number_or_text`` reads each numeric flag,
+``--grid`` part and ``--sigmas`` entry, and the quantity's rule in ``errors`` judges it.
 All file outputs are UTF-8, written atomically, with shortest round-trip
 float formatting so identical inputs produce byte-identical artifacts.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -22,10 +23,9 @@ import numpy as np
 
 from . import closed_form, io
 from .core import Dataset, SolveConfig
-from .critical import WEIGHT_BRACKET, WEIGHTS, checked_widths, critical_constant
-from .critical import trichotomy_sweep
+from .critical import WEIGHT_BRACKET, WEIGHTS, critical_constant, trichotomy_sweep
 from .errors import CapacityError, QuadratureError, SolverError
-from .errors import finite_real, nonnegative_real, positive_int, positive_real
+from .errors import finite_real, nonnegative_int, nonnegative_real, positive_int, positive_real
 from .grid import FrequencyGrid
 from .solver import fit
 from .subcritical import decay_sweep
@@ -34,14 +34,24 @@ from .verify import run_verification
 _INPUT_ERRORS = (ValueError, OSError)  # io.load_model raises ValueError: eval never exits 3
 _NUMERICAL_ERRORS = (SolverError, CapacityError, QuadratureError)
 _SWEEP_AXES = {"alpha": positive_real, "M": positive_int, "lambda": nonnegative_real}  # axis -> rule
+_FLAG_RULES = {  # each numeric flag's dest -> (quantity, rule), applied by main
+    "M": ("M", positive_int), "dim": ("d", positive_int), "count": ("count", positive_int),
+    "seed": ("seed", nonnegative_int), "label": ("label", finite_real),
+    "lam": ("lambda", nonnegative_real), "delta_xi": ("delta_xi", positive_real),
+    "alpha": ("alpha", positive_real), "sigma_max": ("sigma_max", positive_real),
+    "sigma_min": ("sigma_min", positive_real),
+}  # fmt: skip
+_GRID_KEYS = ("min", "max", "points")
 
 
 # ---------------------------------------------------------------------------
 # eval grids
 # ---------------------------------------------------------------------------
-def _checked_grid(lo: float, hi: float, count: int, spec) -> tuple[float, float, int]:
-    """An evaluation range needs finite ends, ``min <= max`` and at least one point."""
-    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+def _checked_grid(fields: dict, prefix: str, spec) -> tuple[float, float, int]:
+    """An evaluation range: finite ends, at least one point and ``min <= max``."""
+    lo, hi = (finite_real(prefix + key, fields[key]) for key in ("min", "max"))
+    count = positive_int(prefix + "points", fields["points"])
+    if lo > hi:
         raise ValueError(f"bad grid spec {spec!r}")
     return lo, hi, count
 
@@ -50,17 +60,15 @@ def _parse_grid_spec(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be MIN:MAX:COUNT, got {spec!r}")
-    return _checked_grid(float(parts[0]), float(parts[1]), int(parts[2]), spec)
+    return _checked_grid(dict(zip(_GRID_KEYS, map(io.number_or_text, parts))), "--grid ", spec)
 
 
 def _parse_eval_grid(payload: dict) -> tuple[float, float, int]:
     """The sweep's ``eval_grid`` block, under the rule of ``fdvar eval --grid``."""
     spec = payload.get("eval_grid", {"min": -1.0, "max": 1.0, "points": 201})
-    if not isinstance(spec, dict) or set(spec) != {"min", "max", "points"}:
+    if not isinstance(spec, dict) or set(spec) != set(_GRID_KEYS):
         raise ValueError(f"eval_grid needs exactly the keys min, max and points, got {spec!r}")
-    lo = finite_real("eval_grid.min", spec["min"])
-    hi = finite_real("eval_grid.max", spec["max"])
-    return _checked_grid(lo, hi, positive_int("eval_grid.points", spec["points"]), spec)
+    return _checked_grid(spec, "eval_grid.", spec)
 
 
 def _write_reconstruction(model, specs: list[tuple[float, float, int]], path: str) -> np.ndarray:
@@ -88,7 +96,7 @@ def _cmd_fit(args) -> int:
     model = fit(grid, data, config)
     elapsed = time.perf_counter() - start
     io.save_model(model, args.output)
-    max_resid = float(np.max(model.residuals)) if model.residuals.size else 0.0
+    max_resid = float(np.max(model.residuals))
     print(
         f"objective={io.format_float(model.objective)} "
         f"max_residual={io.format_float(max_resid)} wall_time_s={elapsed:.3f}"
@@ -100,7 +108,7 @@ def _cmd_eval(args) -> int:
     model = io.load_model(args.model)
     specs = [_parse_grid_spec(s) for s in args.grid]
     values = _write_reconstruction(model, specs, args.output)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    residue = float(np.max(np.abs(values.imag)))
     print(f"points={len(values)} imag_residue={io.format_float(residue)}")
     return 0
 
@@ -196,7 +204,7 @@ def _cmd_closedform(args) -> int:
     )
     lo, hi, count = _parse_grid_spec(args.grid)
     xs = np.linspace(lo, hi, count)
-    values = 0.5 * finite_real("label", args.label) * closed_form.reconstruction(params, xs)
+    values = 0.5 * args.label * closed_form.reconstruction(params, xs)
     io.write_csv(args.output, ["x", "h"], np.column_stack([xs, values]))
     origin = 0.5 * args.label * float(closed_form.reconstruction(params, 0.0)[0])
     print(f"points={count} h(0)={io.format_float(origin)} z_squared={params.z_squared:.6g}")
@@ -213,7 +221,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    checked_widths([args.sigma_max, args.sigma_min], 2)  # before np.log10 warns on them
     sigmas = np.logspace(np.log10(args.sigma_max), np.log10(args.sigma_min), args.count)
     sweep = trichotomy_sweep(args.dim, args.alpha, sigmas, weight=args.weight)
     io.write_csv(args.output, ["sigma", "norm"], np.column_stack([sweep.sigmas, sweep.norms]))
@@ -233,10 +240,8 @@ def _cmd_critical(args) -> int:
 
 def _cmd_subcritical(args) -> int:
     data = io.load_dataset(args.dataset)
-    try:
-        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
-    except ValueError:
-        raise ValueError(f"--sigmas must be comma-separated numbers, got {args.sigmas!r}")
+    widths = [io.number_or_text(s) for s in args.sigmas.split(",") if s.strip()]
+    sigmas = [positive_real("sigma", width) for width in widths]
     sweep = decay_sweep(data, args.alpha, sigmas, weight=args.weight)
     table = np.column_stack([sweep.sigmas, sweep.norms, sweep.margins])
     io.write_csv(args.output, ["sigma", "norm", "dominance_margin"], table)
@@ -253,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Band-limited spectral regression with Sobolev-weighted penalties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    number = io.number_or_text  # the one reader of a numeric flag's text; main applies its rule
 
     p_fit = sub.add_parser("fit", help="fit a model from a config file and a dataset")
     p_fit.add_argument("config", help="key = value config (alpha, lambda, M, delta_xi, ...)")
@@ -280,39 +286,35 @@ def build_parser() -> argparse.ArgumentParser:
         "closedform",
         help="single-point closed-form reconstruction CSV (scales to very large M)",
     )
-    p_cf.add_argument("--M", type=int, required=True, help="band limit in lattice steps")
-    p_cf.add_argument("--delta-xi", type=float, required=True, help="frequency mesh size")
-    p_cf.add_argument("--alpha", type=float, required=True)
-    p_cf.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_cf.add_argument("--label", type=float, default=2.0, help="value fitted at the origin")
+    p_cf.add_argument("--M", type=number, required=True, help="band limit in lattice steps")
+    p_cf.add_argument("--delta-xi", type=number, required=True, help="frequency mesh size")
+    p_cf.add_argument("--alpha", type=number, required=True)
+    p_cf.add_argument("--lambda", dest="lam", type=number, required=True)
+    p_cf.add_argument("--label", type=number, default=2.0, help="value fitted at the origin")
     p_cf.add_argument("--grid", required=True, help="MIN:MAX:COUNT evaluation range")
     p_cf.add_argument("-o", "--output", required=True, help="(x, h) CSV path")
     p_cf.set_defaults(func=_cmd_closedform)
 
     p_verify = sub.add_parser("verify", help="run the cross-module oracle checks")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=number, default=0)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_crit = sub.add_parser("critical", help="shrinking-width norm sweep and classification")
-    p_crit.add_argument("--dim", type=int, required=True)
-    p_crit.add_argument("--alpha", type=float, required=True)
-    p_crit.add_argument("--sigma-max", type=float, default=10**-1.25)
-    p_crit.add_argument("--sigma-min", type=float, default=10**-3.25)
-    p_crit.add_argument("--count", type=int, default=9)
-    p_crit.add_argument(
-        "--weight", choices=WEIGHTS, default=WEIGHT_BRACKET
-    )
+    p_crit.add_argument("--dim", type=number, required=True)
+    p_crit.add_argument("--alpha", type=number, required=True)
+    p_crit.add_argument("--sigma-max", type=number, default=10**-1.25)
+    p_crit.add_argument("--sigma-min", type=number, default=10**-3.25)
+    p_crit.add_argument("--count", type=number, default=9)
+    p_crit.add_argument("--weight", choices=WEIGHTS, default=WEIGHT_BRACKET)
     p_crit.add_argument("-o", "--output", required=True, help="(sigma, norm) CSV path")
     p_crit.add_argument("--verdict", help="classification JSON path")
     p_crit.set_defaults(func=_cmd_critical)
 
     p_sub = sub.add_parser("subcritical", help="kernel-interpolant norm decay sweep")
     p_sub.add_argument("dataset", help="dataset CSV or JSON")
-    p_sub.add_argument("--alpha", type=float, required=True)
+    p_sub.add_argument("--alpha", type=number, required=True)
     p_sub.add_argument("--sigmas", required=True, help="comma-separated widths, decreasing")
-    p_sub.add_argument(
-        "--weight", choices=WEIGHTS, default=WEIGHT_BRACKET
-    )
+    p_sub.add_argument("--weight", choices=WEIGHTS, default=WEIGHT_BRACKET)
     p_sub.add_argument("-o", "--output", required=True, help="decay CSV path")
     p_sub.set_defaults(func=_cmd_subcritical)
 
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, (name, rule) in _FLAG_RULES.items():
+            if dest in vars(args):
+                setattr(args, dest, rule(name, getattr(args, dest)))
         return args.func(args)
     except _INPUT_ERRORS + _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,12 @@ def positive_int(name: str, value) -> int:
     return int(value)  # exact, where a float of a large integer is not
 
 
+def nonnegative_int(name: str, value) -> int:
+    """A seed: an integral value of at least 0."""
+    _number(name, value, "a nonnegative integer", lambda x: x >= 0 and x.is_integer())
+    return int(value)
+
+
 def positive_real(name: str, value) -> float:
     """``delta_xi``, ``alpha``, ``sigma``, ``solve_tolerance`` or ``memory_budget_mb``."""
     return _number(name, value, "positive and finite", lambda x: x > 0)

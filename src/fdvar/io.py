@@ -2,16 +2,17 @@
 
 Datasets arrive as CSV (d coordinate columns then one label column; the header
 row is required and fixes the width) or as a JSON array of records whose
-fields mirror the same column layout.  ``settings`` is the one reader of the
-settings block (``M``, ``delta_xi``, ``alpha``, ``lambda``,
-``solve_tolerance``, ``memory_budget_mb``), for config files and sweep specs
-alike.  CSV artifacts are float tables, JSON artifacts are compact single
-lines, and every float is written as its ``repr``.  Model files store (re, im)
-coefficient pairs in flat-index order; save/load/save is byte-stable and
-indented model files still load.  ``model_from_dict`` is their one check:
-every fault is a ``ValueError``, which the CLI maps to exit 2.  Datasets and
-coefficient pairs pass one table check, ``_number_table``; ``true``, ``"0.25"``
-and a key given twice are errors.
+fields mirror the same column layout.  ``number_or_text`` is the one reader of a
+number written as text (config values, CSV cells, CLI flags); other text is kept
+for its quantity's rule to reject by name.  ``settings`` is the one reader of the
+settings block (``M``, ``delta_xi``, ``alpha``, ``lambda``, ``solve_tolerance``,
+``memory_budget_mb``), for config files and sweep specs alike.  CSV artifacts
+are float tables, JSON artifacts are compact single lines, and every float is
+written as its ``repr``.  Model files store (re, im) coefficient pairs in
+flat-index order; save/load/save is byte-stable and indented model files still
+load.  ``model_from_dict`` is their one check: every fault is a ``ValueError``,
+which the CLI maps to exit 2.  Datasets and coefficient pairs pass one table
+check, ``_number_table``; ``true``, ``"0.25"`` and a key given twice are errors.
 """
 
 from __future__ import annotations
@@ -128,10 +129,11 @@ def _dataset(rows, columns, where) -> Dataset:
     return Dataset(X=table[:, :-1], Y=table[:, -1])
 
 
-def _number_or_text(text: str) -> float | str:
-    """A CSV cell or a config value: text that is no float is kept, for its rule to reject."""
+def number_or_text(text: str) -> float | str:
+    """ASCII text without ``_`` in ``float`` syntax, spaces around it allowed, as that float
+    (``nan`` and ``inf`` too); any other text, such as ``1_0`` or ``١٠``, unchanged."""
     try:
-        return float(text)
+        return float(text) if text.isascii() and "_" not in text else text
     except ValueError:
         return text
 
@@ -141,7 +143,7 @@ def _load_dataset_csv(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)  # line_num: the file line of the row just read
         table = {reader.line_num: row for row in reader if any(cell.strip() for cell in row)}
-    lines, rows = list(table), [[_number_or_text(cell) for cell in row] for row in table.values()]
+    lines, rows = list(table), [[number_or_text(cell) for cell in row] for row in table.values()]
     if not rows:
         raise ValueError("dataset empty")
     if all(isinstance(cell, float) for cell in rows[0]):
@@ -182,21 +184,18 @@ def dataset_from_points(points) -> Dataset:
 # settings: config files (flat key = value namespace) and sweep specs
 # ---------------------------------------------------------------------------
 def parse_config_text(text: str) -> dict[str, float | str]:
-    """A config file's ``key = value`` lines; a value that parses as a float is one."""
+    """A config file's ``key = value`` lines, each value read by ``number_or_text``."""
     entries: dict[str, float | str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        for sep in ("=", ":"):
-            if sep in stripped:
-                key, value = (part.strip() for part in stripped.split(sep, 1))
-                if key in entries:
-                    raise ValueError(f"config line {lineno} sets {key!r} again")
-                entries[key] = _number_or_text(value)
-                break
-        else:
+        if "=" not in stripped:
             raise ValueError(f"config line {lineno} is not 'key = value': {line!r}")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in entries:
+            raise ValueError(f"config line {lineno} sets {key!r} again")
+        entries[key] = number_or_text(value)
     return entries
 
 

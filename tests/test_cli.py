@@ -184,14 +184,22 @@ def test_eval_rejects_broken_model_file(workspace, capsys, edit, message):
     assert not (workspace / "recon.csv").exists()
 
 
-@pytest.mark.parametrize("grid", ["-0.5:0.5:0", "0.5:-0.5:11", "-inf:0.5:11", "nan:0.5:3"])
+BAD_GRID_SPECS = {  # each part takes its quantity's rule; min > max is the spec's own fault
+    "-0.5:0.5:0": "--grid points must be a positive integer, got 0.0",
+    "0.5:-0.5:11": "bad grid spec '0.5:-0.5:11'",
+    "-inf:0.5:11": "--grid min must be a finite number, got -inf",
+    "nan:0.5:3": "--grid min must be a finite number, got nan",
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRID_SPECS)
 def test_eval_bad_grid_spec_exit_2(workspace, capsys, grid):
     assert run_fit(workspace) == 0
     code = main(
         ["eval", str(workspace / "model.json"), f"--grid={grid}", "-o", str(workspace / "r.csv")]
     )
     assert code == 2
-    assert "bad grid spec" in capsys.readouterr().err
+    assert BAD_GRID_SPECS[grid] in capsys.readouterr().err
     assert not (workspace / "r.csv").exists()
 
 
@@ -415,13 +423,20 @@ def test_critical_command(tmp_path, capsys):
     assert lines[0] == "sigma,norm" and len(lines) == 10
 
 
-@pytest.mark.parametrize("ends", [["--sigma-max", "-0.1"], ["--sigma-min", "0"]])
-def test_critical_checks_width_ends_before_log(tmp_path, capsys, ends):
+@pytest.mark.parametrize(
+    "ends,message",
+    [
+        (["--sigma-max", "-0.1"], "sigma_max must be positive and finite, got -0.1"),
+        (["--sigma-min", "0"], "sigma_min must be positive and finite, got 0.0"),
+    ],
+    ids=["ends0", "ends1"],
+)
+def test_critical_checks_width_ends_before_log(tmp_path, capsys, ends, message):
     # the width rule runs before np.log10, which would warn on these ends
     out = tmp_path / "c.csv"
     assert main(["critical", "--dim", "1", "--alpha", "1", *ends, "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "sigmas must be positive and finite, got [" in err and ends[1] in err
+    assert message in err
     assert "RuntimeWarning" not in err and not out.exists()
 
 

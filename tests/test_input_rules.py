@@ -5,7 +5,8 @@ another quantity's rule before every entry point shared ``fdvar.errors``: a
 config file, a model file, a JSON dataset, a sweep spec, ``closedform
 --label`` and the library constructors.  CLI cases exit 2 and name the
 field; library cases raise a ``ValueError`` that names the quantity and the
-value.
+value.  Every number written as text, in a file or a flag, is read by
+``io.number_or_text``: ``1_0`` and ``١٠`` are no numbers anywhere.
 """
 
 import json
@@ -14,8 +15,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fdvar.cli import main
+from fdvar.io import number_or_text
 from fdvar.closed_form import ClosedFormParams
 from fdvar.core import FittedModel, SolveConfig, SpectralCoefficients
 from fdvar.critical import critical_constant, gaussian_sobolev_norm
@@ -94,11 +98,29 @@ def csv_dataset(text):
     return lambda tmp_path: fit_argv(tmp_path, dataset=("points.csv", text))
 
 
-def closedform_label(label):
-    return lambda tmp_path: [
-        "closedform", "--M", "10", "--delta-xi", "0.1", "--alpha", "2", "--lambda", "1",
-        "--label", label, "--grid=-0.5:0.5:11", "-o", str(tmp_path / "curve.csv"),
-    ]  # fmt: skip
+def closedform(tmp_path, flag, text):
+    """``fdvar closedform`` argv with ``flag`` set to ``text``."""
+    flags = {"--M": "10", "--delta-xi": "0.1", "--alpha": "2", "--lambda": "1", "--label": "2"}
+    flags.update({"--grid": "-0.5:0.5:11", flag: text})
+    return ["closedform", *(f"{k}={v}" for k, v in flags.items()), "-o", str(tmp_path / "curve.csv")]
+
+
+def critical(tmp_path, flag, text):
+    flags = {"--dim": "1", "--alpha": "3", "--count": "3", flag: text}
+    out = ["-o", str(tmp_path / "norms.csv"), "--verdict", str(tmp_path / "verdict.json")]
+    return ["critical", *(f"{k}={v}" for k, v in flags.items()), *out]
+
+
+def subcritical(tmp_path, flag, text):
+    (tmp_path / "pair.csv").write_text("x,y\n-0.5,0.9\n0.5,0.9\n", encoding="utf-8")
+    flags = {"--alpha": "1", "--sigmas": "0.1,0.05", flag: text}
+    argv = [f"{k}={v}" for k, v in flags.items()]
+    return ["subcritical", str(tmp_path / "pair.csv"), *argv, "-o", str(tmp_path / "decay.csv")]
+
+
+def eval_grid(tmp_path, grid):
+    assert main(fit_argv(tmp_path)) == 0
+    return ["eval", str(tmp_path / "model.json"), f"--grid={grid}", "-o", str(tmp_path / "r.csv")]
 
 
 CLI_CASES = {
@@ -201,7 +223,18 @@ CLI_CASES = {
         sweep_with(sweep={"axis": "lambda", "values": [1, -1]}),
         "sweep.values[1] on axis 'lambda' must be nonnegative and finite, got -1",
     ),
-    "closedform-label-nan": (closedform_label("nan"), "label must be a finite number, got nan"),
+    "closedform-label-nan": (
+        lambda tmp_path: closedform(tmp_path, "--label", "nan"),
+        "label must be a finite number, got nan",
+    ),
+    "config-colon-separator": (
+        lambda tmp_path: fit_argv(tmp_path, config=CONFIG.replace("M = 10", "M: 10")),
+        "config line 3 is not 'key = value': 'M: 10'",
+    ),
+    "subcritical-sigma-underscore": (
+        lambda tmp_path: subcritical(tmp_path, "--sigmas", "0.1,0_05"),
+        "sigma must be positive and finite, got '0_05'",
+    ),
 }
 
 
@@ -221,6 +254,141 @@ def test_sweep_lambda_zero_like_fit(tmp_path):
     manifest = json.loads((tmp_path / "out" / "demo_manifest.json").read_text(encoding="utf-8"))
     assert [p["value"] for p in manifest["points"]] == [0.0, 0.5]
     assert all(p["status"] == "ok" for p in manifest["points"])
+
+
+# Each site where a number is written as text -> (argv for that text, error for that text).
+TEXT_SITES = {
+    "config-value": (
+        lambda tmp_path, t: fit_argv(tmp_path, config=CONFIG.replace("M = 10", f"M = {t}")),
+        "M must be a positive integer, got {!r}",
+    ),
+    "csv-cell": (
+        lambda tmp_path, t: fit_argv(tmp_path, dataset=("points.csv", f"x,y\n{t},2.0\n")),
+        "dataset row 2 column 1 must be a finite number, got {!r}",
+    ),
+    "grid-min": (
+        lambda tmp_path, t: closedform(tmp_path, "--grid", f"{t}:20:11"),
+        "--grid min must be a finite number, got {!r}",
+    ),
+    "grid-max": (
+        lambda tmp_path, t: closedform(tmp_path, "--grid", f"-1:{t}:11"),
+        "--grid max must be a finite number, got {!r}",
+    ),
+    "grid-points": (
+        lambda tmp_path, t: closedform(tmp_path, "--grid", f"-1:1:{t}"),
+        "--grid points must be a positive integer, got {!r}",
+    ),
+    "eval-grid-points": (
+        lambda tmp_path, t: eval_grid(tmp_path, f"-1:1:{t}"),
+        "--grid points must be a positive integer, got {!r}",
+    ),
+    "sigmas": (
+        lambda tmp_path, t: subcritical(tmp_path, "--sigmas", f"{t},0.05"),
+        "sigma must be positive and finite, got {!r}",
+    ),
+    "subcritical-alpha": (
+        lambda tmp_path, t: subcritical(tmp_path, "--alpha", t),
+        "alpha must be positive and finite, got {!r}",
+    ),
+    "M": (
+        lambda tmp_path, t: closedform(tmp_path, "--M", t), "M must be a positive integer, got {!r}"
+    ),
+    "delta-xi": (
+        lambda tmp_path, t: closedform(tmp_path, "--delta-xi", t),
+        "delta_xi must be positive and finite, got {!r}",
+    ),
+    "closedform-alpha": (
+        lambda tmp_path, t: closedform(tmp_path, "--alpha", t),
+        "alpha must be positive and finite, got {!r}",
+    ),
+    "lambda": (
+        lambda tmp_path, t: closedform(tmp_path, "--lambda", t),
+        "lambda must be nonnegative and finite, got {!r}",
+    ),
+    "label": (
+        lambda tmp_path, t: closedform(tmp_path, "--label", t),
+        "label must be a finite number, got {!r}",
+    ),
+    "dim": (
+        lambda tmp_path, t: critical(tmp_path, "--dim", t), "d must be a positive integer, got {!r}"
+    ),
+    "critical-alpha": (
+        lambda tmp_path, t: critical(tmp_path, "--alpha", t),
+        "alpha must be positive and finite, got {!r}",
+    ),
+    "sigma-max": (
+        lambda tmp_path, t: critical(tmp_path, "--sigma-max", t),
+        "sigma_max must be positive and finite, got {!r}",
+    ),
+    "sigma-min": (
+        lambda tmp_path, t: critical(tmp_path, "--sigma-min", t),
+        "sigma_min must be positive and finite, got {!r}",
+    ),
+    "count": (
+        lambda tmp_path, t: critical(tmp_path, "--count", t),
+        "count must be a positive integer, got {!r}",
+    ),
+    "seed": (
+        lambda tmp_path, t: ["verify", f"--seed={t}"], "seed must be a nonnegative integer, got {!r}"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", "١٠"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("site", TEXT_SITES)
+def test_number_text_is_ascii_float_syntax(tmp_path, capsys, site, text):
+    # Python's float() reads both as 10; no site may, and no artifact is written
+    argv, message = TEXT_SITES[site]
+    args = argv(tmp_path, text)
+    inputs = set(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(args) == 2
+    assert message.format(text) in capsys.readouterr().err
+    assert set(tmp_path.rglob("*")) == inputs
+
+
+INTEGRAL_SPELLINGS = {  # a count or a dimension spelled as an integral float is that integer
+    "closedform-M-and-grid": (
+        lambda tmp_path, n: closedform(tmp_path, "--grid", f"-1:1:3{n}") + [f"--M=100{n}"],
+        "curve.csv",
+    ),
+    "eval-grid": (lambda tmp_path, n: eval_grid(tmp_path, f"-1:1:3{n}"), "r.csv"),
+    "critical-dim-and-count": (
+        lambda tmp_path, n: critical(tmp_path, "--dim", f"2{n}") + [f"--count=4{n}"],
+        "verdict.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", INTEGRAL_SPELLINGS)
+def test_integral_float_flags_give_the_same_bytes(tmp_path, site):
+    argv, artifact = INTEGRAL_SPELLINGS[site]
+    written = []
+    for spelling in ("", ".0"):
+        (tmp_path / spelling).mkdir(exist_ok=True)
+        assert main(argv(tmp_path / spelling, spelling)) == 0
+        written.append((tmp_path / spelling / artifact).read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "text,value", [("1e-05", 1e-05), (".5", 0.5), ("5.", 5.0), ("+1", 1.0), (" 0.0 ", 0.0)]
+)
+def test_reader_reads_float_spellings(text, value):
+    assert number_or_text(text) == value
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_reader_round_trips_written_floats(x):
+    assert number_or_text(repr(x)) == x and number_or_text(json.dumps(x)) == x
+
+
+@given(st.text(), st.just("_") | st.characters(min_codepoint=128), st.text())
+@example("1", "_", "0")  # float() reads both as 10
+@example("", "١", "٠")
+def test_reader_keeps_underscored_or_non_ascii_text(head, odd, tail):
+    text = head + odd + tail
+    assert number_or_text(text) == text
 
 
 def fitted(**changes):
