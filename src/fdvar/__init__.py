@@ -14,7 +14,6 @@ from .core import (
     FittedModel,
     SolveConfig,
     SpectralCoefficients,
-    japanese_bracket,
     point_evaluations,
     sobolev_objective,
 )
@@ -36,7 +35,6 @@ from .subcritical import (
     GaussianInterpolant,
     build_interpolant,
     decay_sweep,
-    evaluate_interpolant,
     interpolant_sobolev_norm,
 )
 
@@ -60,14 +58,12 @@ __all__ = [
     "build_interpolant",
     "critical_constant",
     "decay_sweep",
-    "evaluate_interpolant",
     "fit",
     "gaussian_homogeneous_norm",
     "gaussian_radial_moment",
     "gaussian_radial_moment_exact",
     "gaussian_sobolev_norm",
     "interpolant_sobolev_norm",
-    "japanese_bracket",
     "point_evaluations",
     "sobolev_objective",
     "solve_direct",

@@ -93,17 +93,19 @@ def reconstruction(params: ClosedFormParams, x) -> np.ndarray:
     return 2.0 / (params.z_squared + params.lam) * series
 
 
-def assembled_system(params: ClosedFormParams, label: float = 2.0) -> AssembledSystem:
+def assembled_system(params: ClosedFormParams) -> AssembledSystem:
     """The half-lattice problem as a one-row system for the general backends.
 
-    The constraint row is all ones and the right-hand side carries the
-    ``label / (2 * delta_xi)`` scaling of the even, zero-DC reduction.
+    The label at the origin is fixed at 2, as in ``coefficients`` and
+    ``reconstruction``.  The constraint row is all ones and the right-hand
+    side is ``label / (2 * delta_xi) = 1 / delta_xi``, the scaling of the
+    even, zero-DC reduction.
     """
     return AssembledSystem(
         matrix=np.ones((1, params.M), dtype=complex),
         weights=params.mode_weights(),
         lam=params.lam,
-        rhs=np.array([label / (2.0 * params.delta_xi)]),
+        rhs=np.array([1.0 / params.delta_xi]),
     )
 
 

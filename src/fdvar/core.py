@@ -10,14 +10,6 @@ from .errors import nonnegative_real, positive_real
 from .grid import FrequencyGrid
 
 
-def japanese_bracket(xi) -> float:
-    """``(1 + ||xi||^2)^(1/2)`` for a single frequency point ``xi``."""
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("frequency must be finite")
-    return float(np.sqrt(1.0 + np.sum(xi * xi)))
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Sample matrix ``X`` (n points in R^d) and label vector ``Y``.

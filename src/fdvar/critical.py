@@ -227,6 +227,7 @@ def trichotomy_sweep(d: int, alpha: float, sigmas, weight: str = WEIGHT_BRACKET)
     """
     sigmas = checked_widths(sigmas, 3)
     bracket = checked_weight(weight) == WEIGHT_BRACKET
+    d = positive_int("d", d)
     norm_fn = gaussian_sobolev_norm if bracket else gaussian_homogeneous_norm
     norms = np.array([norm_fn(d, alpha, s) for s in sigmas])
     slope = log_log_slope(sigmas, norms)

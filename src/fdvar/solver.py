@@ -77,17 +77,8 @@ class AssembledSystem:
         object.__setattr__(self, "lam", nonnegative_real("lambda", self.lam))
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def size(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def gamma_diag(self) -> np.ndarray:
-        """Diagonal of the penalty factor, ``sqrt(lam) * w_J^(1/2)``."""
-        return np.sqrt(self.lam * self.weights)
 
 
 def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
@@ -115,9 +106,20 @@ def _fit_bytes(n: int, grid: FrequencyGrid) -> int:
 
 
 def assemble(grid: FrequencyGrid, data: Dataset, config: SolveConfig) -> AssembledSystem:
-    """Build the evaluation matrix ``grid.phases(X)`` and the penalty weights."""
+    """Build the evaluation matrix ``grid.phases(X)`` and the penalty weights.
+
+    Every fitted ``h`` has period ``1/delta_xi`` along each axis, so the data
+    must span less than one period along every axis.
+    """
     if data.d != grid.d:
         raise ValueError(f"dataset dimension {data.d} does not match grid dimension {grid.d}")
+    period = 1.0 / grid.delta_xi
+    for axis, extent in enumerate(np.ptp(data.X, axis=0), start=1):
+        if extent >= period:
+            raise ValueError(
+                f"data extent {extent} along axis {axis} is not under the period "
+                f"1/delta_xi = {period}; points a period apart are one point to the fit"
+            )
     G = grid.size
     need = _fit_bytes(data.n, grid)
     budget = config.memory_budget_mb * 2**20
@@ -260,7 +262,7 @@ def solve_svd(system: AssembledSystem, tolerance: float = 1e-10) -> np.ndarray:
     """Whiten by the penalty diagonal, shrink singular values, unwhiten."""
     if system.lam <= 0:
         raise ValueError("svd backend requires lambda > 0")
-    gamma = system.gamma_diag
+    gamma = np.sqrt(system.lam * system.weights)
     whitened = system.matrix / gamma[None, :]
     try:
         u, s, vh = np.linalg.svd(whitened, full_matrices=False)

@@ -4,7 +4,9 @@ For a dataset with distinct points, the interpolant through Gaussian bumps
 of width ``sigma`` exists whenever the kernel matrix solves; shrinking
 ``sigma`` yields a family whose spectral norm scales like ``sigma^(d-alpha)``
 up to cross terms, so the norm collapses for ``alpha < d`` and blows up for
-``alpha > d`` while interpolating the data exactly throughout.
+``alpha > d`` while interpolating the data exactly throughout.  An
+interpolant keeps its width, data and weights; ``evaluate`` sums its bumps,
+and the kernel matrix lives only inside ``build_interpolant``.
 
 Each cross term of the norm is one polar radial integral, whose angular
 mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3; it is
@@ -37,16 +39,21 @@ _MAX_GRID_POINTS = 40_000_000
 
 @dataclass(frozen=True)
 class GaussianInterpolant:
-    """Kernel weights solving ``K g = Y`` for Gaussian bumps of width sigma."""
+    """Kernel weights solving ``K g = Y`` for Gaussian bumps of width sigma (``K`` is not kept)."""
 
     sigma: float
     data: Dataset
     coefficients: np.ndarray
-    kernel_matrix: np.ndarray
     dominance_margin: float
 
     def evaluate(self, points) -> np.ndarray:
-        return evaluate_interpolant(self, points)
+        """``sum_i g_i exp(-||x - x_i||^2 / (2 sigma^2))`` at each point."""
+        pts = _as_points(points, self.data.d)
+        squeeze = np.ndim(points) == 0 or (np.ndim(points) == 1 and self.data.d > 1)
+        diffs = pts[:, None, :] - self.data.X[None, :, :]
+        bumps = np.exp(-np.sum(diffs * diffs, axis=2) / (2.0 * self.sigma**2))
+        values = bumps @ self.coefficients
+        return float(values[0]) if squeeze else values
 
 
 def build_interpolant(data: Dataset, sigma: float) -> GaussianInterpolant:
@@ -79,23 +86,7 @@ def build_interpolant(data: Dataset, sigma: float) -> GaussianInterpolant:
             f"(margin {margin:.3e}); solution accepted on residual check",
             stacklevel=2,
         )
-    return GaussianInterpolant(
-        sigma=sigma,
-        data=data,
-        coefficients=g,
-        kernel_matrix=kernel,
-        dominance_margin=margin,
-    )
-
-
-def evaluate_interpolant(interp: GaussianInterpolant, points) -> np.ndarray:
-    """``sum_i g_i exp(-||x - x_i||^2 / (2 sigma^2))`` at each point."""
-    pts = _as_points(points, interp.data.d)
-    squeeze = np.ndim(points) == 0 or (np.ndim(points) == 1 and interp.data.d > 1)
-    diffs = pts[:, None, :] - interp.data.X[None, :, :]
-    bumps = np.exp(-np.sum(diffs * diffs, axis=2) / (2.0 * interp.sigma**2))
-    values = bumps @ interp.coefficients
-    return float(values[0]) if squeeze else values
+    return GaussianInterpolant(sigma=sigma, data=data, coefficients=g, dominance_margin=margin)
 
 
 def _grid_norm(interp: GaussianInterpolant, alpha: float, weight: str) -> float:

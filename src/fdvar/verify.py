@@ -77,7 +77,7 @@ def two_point_model(m: int, alpha: float = 10.0, lam: float = 0.5):
 
 def _check_closed_form(seed: int) -> tuple[bool, str]:
     params = closed_form.ClosedFormParams(M=200, delta_xi=0.01, alpha=4.0, lam=1.0)
-    system = closed_form.assembled_system(params, label=2.0)
+    system = closed_form.assembled_system(params)
     xs = np.linspace(-0.5, 0.5, 201)
     expected = closed_form.reconstruction(params, xs)
     worst = 0.0

@@ -44,7 +44,7 @@ def criterion5_systems():
 def test_criterion_01_closed_form_oracle_agreement():
     start = time.perf_counter()
     params = closed_form.ClosedFormParams(M=1000, delta_xi=0.01, alpha=4.0, lam=1.0)
-    system = closed_form.assembled_system(params, label=2.0)
+    system = closed_form.assembled_system(params)
     xs = np.linspace(-0.5, 0.5, 1001)
     expected = closed_form.reconstruction(params, xs)
     worst = 0.0

@@ -99,6 +99,15 @@ def test_fit_interpolation_failure_exits_3(workspace, capsys):
     assert not (workspace / "model.json").exists()
 
 
+def test_fit_over_a_period_exits_2(workspace, capsys):
+    # delta_xi = 0.1: the period is 10, and the second axis spans it exactly
+    (workspace / "points.csv").write_text("x1,x2,y\n0,-5,1\n0.3,0,0\n1,5,-1\n", encoding="utf-8")
+    assert run_fit(workspace) == 2
+    err = capsys.readouterr().err
+    assert "extent 10.0 along axis 2" in err and "period 1/delta_xi = 10.0" in err
+    assert not (workspace / "model.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -241,7 +250,9 @@ def test_eval_2d_grid(workspace, tmp_path):
     np.testing.assert_array_equal(rows[:, 0], np.repeat(axis, 5))
     np.testing.assert_array_equal(rows[:, 1], np.tile(axis, 5))
     model = load_model(str(workspace / "m2.json"))
-    argument = 2 * np.pi * model.grid.delta_xi * (rows[:, :2] @ model.grid.lattice().T)
+    axis = np.arange(-model.grid.M, model.grid.M + 1)
+    lattice = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    argument = 2 * np.pi * model.grid.delta_xi * (rows[:, :2] @ lattice.T)
     direct = np.exp(1j * argument) @ model.coefficients.values
     assert np.max(np.abs(rows[:, 2] - direct.real)) <= 1e-12 * np.max(np.abs(direct))
 

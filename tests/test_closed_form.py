@@ -127,7 +127,7 @@ def test_oracle_does_not_use_frequency_grid(monkeypatch):
 @pytest.mark.parametrize("alpha,lam,delta_xi", [(4.0, 1.0, 0.01), (1.5, 1e-3, 0.05)])
 def test_solver_reproduces_oracle_pointwise(alpha, lam, delta_xi):
     params = closed_form.ClosedFormParams(M=500, delta_xi=delta_xi, alpha=alpha, lam=lam)
-    system = closed_form.assembled_system(params, label=2.0)
+    system = closed_form.assembled_system(params)
     xs = np.linspace(-0.5, 0.5, 1001)
     expected = closed_form.reconstruction(params, xs)
     for solver in (solve_direct, solve_dual, solve_svd):

@@ -11,33 +11,21 @@ from fdvar import (
     FrequencyGrid,
     SolveConfig,
     SpectralCoefficients,
-    japanese_bracket,
     point_evaluations,
     sobolev_objective,
 )
+
+
+def lattice(d, m):
+    """Integer multi-indices in flat order: row-major, axis 0 slowest, each axis from -m."""
+    axis = np.arange(-m, m + 1)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def random_hermitian(grid, rng):
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     perm = grid.negation_permutation()
     return SpectralCoefficients(values=0.5 * (values + np.conj(values[perm])), grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# japanese bracket
-# ---------------------------------------------------------------------------
-def test_bracket_values():
-    assert japanese_bracket([0.0, 0.0, 0.0]) == 1.0
-    assert math.isclose(japanese_bracket([3.0, 4.0]), math.sqrt(26.0))
-    # alpha = 2 weight at xi = 1 is the squared bracket
-    assert math.isclose(japanese_bracket(1.0) ** 2, 2.0)
-
-
-def test_bracket_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        japanese_bracket([np.nan])
-    with pytest.raises(ValueError):
-        japanese_bracket([np.inf, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +140,7 @@ def test_point_evaluations_match_direct_sum(d, m, delta_xi, scale, seed):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-scale, scale, size=(5, d))
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-    argument = 2 * np.pi * delta_xi * (X @ grid.lattice().T)
+    argument = 2 * np.pi * delta_xi * (X @ lattice(d, m).T)
     expected = np.exp(1j * argument) @ values
     got = point_evaluations(SpectralCoefficients(values=values, grid=grid), X)
     bound = 1e-14 * (1 + np.max(np.abs(argument))) * np.sum(np.abs(values))
@@ -166,8 +154,8 @@ def test_point_evaluations_across_blocks(d, m, n):
     rng = np.random.default_rng(5)
     X = rng.uniform(-3, 3, size=(n, d))
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-    lattice = grid.lattice()
-    expected = [np.exp(2j * np.pi * grid.delta_xi * (lattice @ x)) @ values for x in X]
+    J = lattice(d, m)
+    expected = [np.exp(2j * np.pi * grid.delta_xi * (J @ x)) @ values for x in X]
     got = point_evaluations(SpectralCoefficients(values=values, grid=grid), X)
     max_argument = 2 * np.pi * grid.delta_xi * m * np.max(np.sum(np.abs(X), axis=1))
     bound = 1e-14 * (1 + max_argument) * np.sum(np.abs(values))

@@ -173,6 +173,12 @@ def test_sweep_slope_tracks_exponent_gap(d, alpha):
     assert abs(sweep.fitted_slope - (d - alpha)) <= 0.05
 
 
+def test_sweep_stores_the_checked_dimension():
+    # an integral float passes the rule for d, and the sweep keeps the int it returns
+    sweep = trichotomy_sweep(2.0, 3.0, [0.1, 0.05, 0.025])
+    assert sweep.d == 2 and type(sweep.d) is int
+
+
 def test_sweep_homogeneous_weight_slope_exact():
     sweep = trichotomy_sweep(2, 4.0, np.logspace(-1, -3, 9), weight=WEIGHT_HOMOGENEOUS)
     assert abs(sweep.fitted_slope + 2.0) <= 1e-6

@@ -54,9 +54,35 @@ def test_assemble_gamma_entries():
     grid = FrequencyGrid(d=1, M=1, delta_xi=1.0)
     config = SolveConfig(alpha=2.0, lam=1.0)
     system = assemble(grid, Dataset(X=[0.0], Y=[1.0]), config)
-    assert np.allclose(system.gamma_diag, [np.sqrt(2.0), 1.0, np.sqrt(2.0)])
-    # entries at least sqrt(lambda), increasing with frequency magnitude
-    assert np.all(system.gamma_diag >= np.sqrt(system.lam) - 1e-15)
+    assert np.array_equal(system.weights, [2.0, 1.0, 2.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    delta_xi=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.01, 10.0)),
+    units=st.lists(
+        st.one_of(st.integers(-4, 4).map(lambda k: k / 4), st.floats(-1.0, 1.0)),
+        min_size=3,
+        max_size=18,
+    ),
+)
+# one period exactly along the only axis; along the second of two; just under one
+@example(d=1, delta_xi=0.5, units=[-0.5, 0.0, 0.5])
+@example(d=2, delta_xi=0.25, units=[0.0, -0.5, 0.25, 0.5, 0.0, 0.0])
+@example(d=1, delta_xi=1.0, units=[-0.5, 0.0, 0.4999])
+def test_assemble_requires_data_inside_one_period(d, delta_xi, units):
+    """``assemble`` raises exactly when some axis extent reaches ``1/delta_xi``."""
+    period = 1.0 / delta_xi
+    X = np.unique(np.reshape(units[: len(units) // d * d], (-1, d)) * period, axis=0)
+    data = Dataset(X=X, Y=np.ones(len(X)))
+    grid = FrequencyGrid(d=d, M=2, delta_xi=delta_xi)
+    over = np.flatnonzero(np.ptp(X, axis=0) >= period)
+    if over.size:
+        with pytest.raises(ValueError, match=f"along axis {over[0] + 1} is not under the period"):
+            assemble(grid, data, SolveConfig(alpha=2.0, lam=1.0))
+    else:
+        assert assemble(grid, data, SolveConfig(alpha=2.0, lam=1.0)).matrix.shape == (len(X), 5**d)
 
 
 def test_assemble_unit_modulus_and_conjugate_symmetry():
@@ -136,7 +162,7 @@ def test_unit_system_gives_half(solver):
 @pytest.mark.parametrize("solver", ALL_SOLVERS)
 def test_single_point_reduction_matches_closed_form(solver):
     params = closed_form.ClosedFormParams(M=2, delta_xi=1.0, alpha=2.0, lam=1.0)
-    phi = solver(closed_form.assembled_system(params, label=2.0))
+    phi = solver(closed_form.assembled_system(params))
     # hand values: Z^2 = 1/2 + 1/5 = 0.7, phi_j = w_j^-1 / 1.7
     assert np.max(np.abs(phi - [0.5 / 1.7, 0.2 / 1.7])) < 1e-12
     expected = closed_form.coefficients(params)
@@ -218,8 +244,10 @@ def test_dual_meets_contract_on_ill_conditioned_plane(seed):
 def test_blocked_dual_kernel_matches_dense(d, m, n, block, lattice, seed):
     rng = np.random.default_rng(seed)
     if lattice:
+        # the points stay inside one period 1/delta_xi, as assemble requires
         grid = FrequencyGrid(d=d, M=m, delta_xi=rng.uniform(0.01, 1.0))
-        data = Dataset(X=rng.uniform(-3, 3, size=(n, d)), Y=rng.normal(size=n))
+        X = rng.uniform(-0.45, 0.45, size=(n, d)) / grid.delta_xi
+        data = Dataset(X=X, Y=rng.normal(size=n))
         system = assemble(grid, data, SolveConfig(alpha=rng.uniform(0.5, 6.0), lam=1.0))
     else:
         # the all-columns route holds for any complex matrix
@@ -271,7 +299,6 @@ def test_lambda_scaling():
     scaled = AssembledSystem(
         matrix=system.matrix, weights=system.weights, lam=10.0 * system.lam, rhs=system.rhs
     )
-    assert np.allclose(scaled.gamma_diag, np.sqrt(10.0) * system.gamma_diag)
     misfit = np.linalg.norm(system.matrix @ solve_direct(system) - system.rhs)
     misfit_scaled = np.linalg.norm(scaled.matrix @ solve_direct(scaled) - scaled.rhs)
     assert misfit_scaled > misfit

@@ -13,7 +13,6 @@ from fdvar import (
     SolverError,
     build_interpolant,
     decay_sweep,
-    evaluate_interpolant,
     gaussian_homogeneous_norm,
     gaussian_sobolev_norm,
     interpolant_sobolev_norm,
@@ -34,7 +33,6 @@ PLANE_DATA = Dataset(
 def test_single_point_weights():
     interp = build_interpolant(Dataset(X=[0.0], Y=[2.0]), sigma=0.7)
     assert np.allclose(interp.coefficients, [2.0])
-    assert interp.kernel_matrix.shape == (1, 1) and interp.kernel_matrix[0, 0] == 1.0
 
 
 def test_two_point_narrow_kernel_weights():
@@ -50,20 +48,10 @@ def test_two_point_wide_kernel_weights():
     assert math.isclose(interp.dominance_margin, 1.0 - math.exp(-0.5))
 
 
-def test_kernel_matrix_shape_and_symmetry():
-    rng = np.random.default_rng(2)
-    data = Dataset(X=rng.uniform(-1, 1, size=(5, 2)), Y=rng.normal(size=5))
-    interp = build_interpolant(data, sigma=0.15)
-    K = interp.kernel_matrix
-    assert np.array_equal(K, K.T)
-    assert np.allclose(np.diag(K), 1.0)
-    assert np.max(np.abs(K @ interp.coefficients - data.Y)) <= 1e-10
-
-
 def test_interpolation_exactness_across_sigmas():
     for sigma in (0.2, 0.1, 0.05, 0.025):
         interp = build_interpolant(PLANE_DATA, sigma)
-        values = evaluate_interpolant(interp, PLANE_DATA.X)
+        values = interp.evaluate(PLANE_DATA.X)
         assert np.max(np.abs(values - PLANE_DATA.Y)) <= 1e-10
 
 
@@ -80,7 +68,7 @@ def test_evaluate_rejects_nonfinite_points_and_keeps_scalar_returns():
     plane = build_interpolant(PLANE_DATA, sigma=0.2)
     for interp, bad in [(line, math.nan), (line, [0.0, math.inf]), (plane, [[0.0, math.nan]])]:
         with pytest.raises(ValueError, match="finite"):
-            evaluate_interpolant(interp, bad)
+            interp.evaluate(bad)
     assert isinstance(line.evaluate(0.5), float)
     assert isinstance(plane.evaluate([-1.5, 0.5]), float)
     assert plane.evaluate([[-1.5, 0.5]]).shape == (1,)
@@ -91,7 +79,7 @@ def test_dominance_warning_when_kernel_flat():
     with pytest.warns(UserWarning, match="dominant"):
         interp = build_interpolant(data, sigma=1.5)
     assert interp.dominance_margin <= 0
-    assert np.max(np.abs(evaluate_interpolant(interp, data.X) - data.Y)) <= 1e-10
+    assert np.max(np.abs(interp.evaluate(data.X) - data.Y)) <= 1e-10
 
 
 def test_singular_kernel_advises_smaller_sigma():
