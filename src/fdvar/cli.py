@@ -6,6 +6,7 @@ Config files and sweep specs are read by ``io.settings``: a sweep point is the
 spec's ``config`` and ``grid`` with the swept key set, read when the spec is.
 Flags take the same rules as files: ``io.number_or_text`` reads each numeric flag,
 ``--grid`` part and ``--sigmas`` entry, and the quantity's rule in ``errors`` judges it.
+A numeric flag's value may follow it after a space or an ``=``, whatever its text.
 All file outputs are UTF-8, written atomically, with shortest round-trip
 float formatting so identical inputs produce byte-identical artifacts.
 """
@@ -34,12 +35,12 @@ from .verify import run_verification
 _INPUT_ERRORS = (ValueError, OSError)  # io.load_model raises ValueError: eval never exits 3
 _NUMERICAL_ERRORS = (SolverError, CapacityError, QuadratureError)
 _SWEEP_AXES = {"alpha": positive_real, "M": positive_int, "lambda": nonnegative_real}  # axis -> rule
-_FLAG_RULES = {  # each numeric flag's dest -> (quantity, rule), applied by main
-    "M": ("M", positive_int), "dim": ("d", positive_int), "count": ("count", positive_int),
-    "seed": ("seed", nonnegative_int), "label": ("label", finite_real),
-    "lam": ("lambda", nonnegative_real), "delta_xi": ("delta_xi", positive_real),
-    "alpha": ("alpha", positive_real), "sigma_max": ("sigma_max", positive_real),
-    "sigma_min": ("sigma_min", positive_real),
+_FLAG_RULES = {  # each numeric flag -> (quantity, rule), applied by main to the flag's dest
+    "--M": ("M", positive_int), "--dim": ("d", positive_int), "--count": ("count", positive_int),
+    "--seed": ("seed", nonnegative_int), "--label": ("label", finite_real),
+    "--lambda": ("lambda", nonnegative_real), "--delta-xi": ("delta_xi", positive_real),
+    "--alpha": ("alpha", positive_real), "--sigma-max": ("sigma_max", positive_real),
+    "--sigma-min": ("sigma_min", positive_real),
 }  # fmt: skip
 _GRID_KEYS = ("min", "max", "points")
 
@@ -200,7 +201,7 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 def _cmd_closedform(args) -> int:
     params = closed_form.ClosedFormParams(
-        M=args.M, delta_xi=args.delta_xi, alpha=args.alpha, lam=args.lam
+        M=args.M, delta_xi=args.delta_xi, alpha=args.alpha, lam=vars(args)["lambda"]
     )
     lo, hi, count = _parse_grid_spec(args.grid)
     xs = np.linspace(lo, hi, count)
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("--M", type=number, required=True, help="band limit in lattice steps")
     p_cf.add_argument("--delta-xi", type=number, required=True, help="frequency mesh size")
     p_cf.add_argument("--alpha", type=number, required=True)
-    p_cf.add_argument("--lambda", dest="lam", type=number, required=True)
+    p_cf.add_argument("--lambda", type=number, required=True)
     p_cf.add_argument("--label", type=number, default=2.0, help="value fitted at the origin")
     p_cf.add_argument("--grid", required=True, help="MIN:MAX:COUNT evaluation range")
     p_cf.add_argument("-o", "--output", required=True, help="(x, h) CSV path")
@@ -321,11 +322,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_flag_values(argv: list[str]) -> list[str]:
+    """``argv`` with each numeric flag and the token after it joined as ``--flag=value``.
+
+    argparse takes a token that starts with ``-`` for an option unless it is a
+    plain negative number, so ``--label -1e-3`` would stop in argparse with
+    "expected one argument".  Joined, every value reaches the flag's rule, as
+    ``--label=-1e-3`` does.  Tokens after ``--`` stay as they are.
+    """
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            return joined + [token, *tokens]
+        if token in _FLAG_RULES:
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_flag_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        for dest, (name, rule) in _FLAG_RULES.items():
+        for flag, (name, rule) in _FLAG_RULES.items():
+            dest = flag[2:].replace("-", "_")  # argparse's default dest
             if dest in vars(args):
                 setattr(args, dest, rule(name, getattr(args, dest)))
         return args.func(args)

@@ -5,8 +5,14 @@ For the normalized Gaussian envelope whose spatial profile is
 one-dimensional radial integral against ``exp(-4 pi^2 r^2)``.  As
 ``sigma -> 0`` the norm vanishes for ``alpha < d``, diverges for
 ``alpha > d``, and converges to a dimension-only constant at ``alpha = d``.
-Every radial integral, including ``subcritical``'s pair terms, runs on one
-panel rule; a norm that is not a finite positive double is a ``QuadratureError``.
+The bracket weight's norm and ``subcritical``'s bracket pair terms run on one
+panel rule.  The homogeneous weight's norm is one log-gamma, and its pair
+terms are that norm times ``1F1(k; d/2; -s^2 / (4 sigma^2))`` up to
+``alpha = 6``, the range in which scipy's ``hyp1f1`` was measured against
+mpmath.  Past it, and at any term that breaks ``|T(s)| <= T(0)``, the panel
+rule computes the term; ``_pair_term`` is also the tests' oracle for the
+closed form.  A norm that is not a finite positive double is a
+``QuadratureError``.
 
 ``trichotomy_sweep`` here and ``subcritical.decay_sweep`` are the only loops
 over widths, and ``checked_widths`` is their one rule: at least k widths,
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import j0
+from scipy.special import hyp1f1, j0
 
 from .errors import QuadratureError, positive_int, positive_real
 
@@ -42,6 +48,12 @@ _LOG_GL_WEIGHTS = np.log(_GL_WEIGHTS)
 _MAX_PANELS = 50_000
 # Edges of the first panel's split, as fractions of its width: 8^-10 .. 8^-1.
 _ORIGIN_GRADING = 8.0 ** -np.arange(10, 0, -1.0)
+# Largest alpha of the homogeneous closed form.  Against mpmath at 40 digits,
+# over some 2500 alphas in (0, 6] per d = 1, 2, 3, each at about 230 values of
+# z = s^2 / (4 sigma^2) from 0 to 1e7, scipy's hyp1f1(k, d/2, -z) was within
+# 8.7e-15 of the value.  Just past it, at d = 2 and alpha 6.025, it is off by
+# 4.5e-13; near integer k it gets worse, as at d = 1 and alpha 9 + 2e-8 (3e-7).
+_CLOSED_FORM_MAX_ALPHA = 6.0
 
 
 def sphere_area(d: int) -> float:
@@ -118,6 +130,30 @@ def _pair_term(d: int, alpha: float, sigma: float, distance: float, weight: str)
     if checked_weight(weight) == WEIGHT_BRACKET:
         return _panel_integral(d, alpha, sigma, distance, d - 1.0, 0.5 * alpha)
     return _panel_integral(d, alpha, sigma, distance, alpha + d - 1.0, 0.0)
+
+
+def _homogeneous_pair_terms(d: int, alpha: float, sigma: float, distances) -> np.ndarray:
+    """The homogeneous ``_pair_term`` at each of ``distances``, in closed form.
+
+    ``T(s) = T(0) 1F1(k; d/2; -s^2 / (4 sigma^2))`` with ``k = (alpha + d)/2``
+    and ``T(0) = gaussian_homogeneous_norm``: the Hankel transform of a
+    Gaussian times a power (Gradshteyn-Ryzhik 6.631.1; DLMF 10.22.52, 13.2).
+    ``T(s) / T(0)`` is a mean of ``m_d``, so a ratio outside [-1, 1] or nan is
+    scipy's error.  Such terms, and every term past ``_CLOSED_FORM_MAX_ALPHA``,
+    come from the panel rule, which raises ``QuadratureError`` where it must.
+    """
+    distances = np.asarray(distances, dtype=float)
+    ratio = np.full(distances.shape, math.nan)
+    if alpha <= _CLOSED_FORM_MAX_ALPHA:
+        with np.errstate(over="ignore"):
+            ratio = hyp1f1(0.5 * (alpha + d), 0.5 * d, -np.square(distances / (2.0 * sigma)))
+    trusted = np.abs(ratio) <= 1.0  # False at nan
+    terms = np.empty(distances.shape)
+    if trusted.any():
+        terms[trusted] = gaussian_homogeneous_norm(d, alpha, sigma) * ratio[trusted]
+    for i in np.flatnonzero(~trusted):
+        terms[i] = _pair_term(d, alpha, sigma, float(distances[i]), WEIGHT_HOMOGENEOUS)
+    return terms
 
 
 def gaussian_radial_moment(k: int) -> float:

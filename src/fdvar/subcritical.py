@@ -9,10 +9,14 @@ interpolant keeps its width, data and weights; ``evaluate`` sums its bumps,
 and the kernel matrix lives only inside ``build_interpolant``.
 
 Each cross term of the norm is one polar radial integral, whose angular
-mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3; it is
-``critical._pair_term``, on the panel rule that also computes the Gaussian
-envelope's norm.  A brute tensor-grid quadrature, ``_grid_norm``, is kept
-as a private oracle for the tests; it forms the weight ``w(r)`` directly.
+mean of cos is ``cos``, Bessel ``J0`` or ``sinc`` for d = 1, 2, 3.  With the
+bracket weight it is ``critical._pair_term``, on the panel rule that also
+computes the Gaussian envelope's norm.  With the homogeneous weight it is
+``critical._homogeneous_pair_terms``, one closed-form call over all distinct
+distances, which falls back to the panel rule where scipy's ``1F1`` is not
+trusted; ``_pair_term`` stays the tests' oracle for it.  A brute tensor-grid
+quadrature, ``_grid_norm``, is kept as a private oracle for the tests; it
+forms the weight ``w(r)`` directly.
 
 ``decay_sweep`` is the one loop over interpolant widths; ``fdvar
 subcritical`` and ``fdvar verify`` run it.  Its widths pass
@@ -29,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, _as_points
-from .critical import GAUSS_RATE, WEIGHT_BRACKET, checked_widths, log_log_slope
-from .critical import _ANGULAR_MEAN, _norm_args, _pair_term, _radial_cutoff
+from .critical import GAUSS_RATE, WEIGHT_BRACKET, checked_weight, checked_widths, log_log_slope
+from .critical import _ANGULAR_MEAN, _homogeneous_pair_terms, _norm_args, _pair_term
+from .critical import _radial_cutoff
 from .errors import QuadratureError, SolverError, positive_real
 
 _INTERPOLATION_TOL = 1e-10
@@ -137,9 +142,12 @@ def interpolant_sobolev_norm(
         raise ValueError("pairwise quadrature implemented for d <= 3")
     diffs = X[:, None, :] - X[None, :, :]
     distances = np.sqrt(np.sum(diffs * diffs, axis=2))
-    # One radial integral per distinct distance (to 12 decimals).
+    # One pair term per distinct distance (to 12 decimals).
     keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
-    terms = np.array([_pair_term(d, alpha, sigma, float(key), weight) for key in keys])
+    if checked_weight(weight) == WEIGHT_BRACKET:
+        terms = np.array([_pair_term(d, alpha, sigma, float(key), weight) for key in keys])
+    else:
+        terms = _homogeneous_pair_terms(d, alpha, sigma, keys)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(g @ terms[inverse].reshape(distances.shape) @ g)
     if not math.isfinite(norm):  # every term is finite, but large labels can overflow the sum

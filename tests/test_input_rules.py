@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fdvar.cli import main
+from fdvar.cli import _FLAG_RULES, main
 from fdvar.io import number_or_text
 from fdvar.closed_form import ClosedFormParams
 from fdvar.core import FittedModel, SolveConfig, SpectralCoefficients
@@ -368,6 +368,47 @@ def test_integral_float_flags_give_the_same_bytes(tmp_path, site):
         (tmp_path / spelling).mkdir(exist_ok=True)
         assert main(argv(tmp_path / spelling, spelling)) == 0
         written.append((tmp_path / spelling / artifact).read_bytes())
+    assert written[0] == written[1]
+
+
+NUMERIC_FLAG_SITES = {  # each numeric flag's site in TEXT_SITES -> the flag
+    "M": "--M", "delta-xi": "--delta-xi", "closedform-alpha": "--alpha", "lambda": "--lambda",
+    "label": "--label", "dim": "--dim", "critical-alpha": "--alpha", "sigma-max": "--sigma-max",
+    "sigma-min": "--sigma-min", "count": "--count", "seed": "--seed",
+    "subcritical-alpha": "--alpha",
+}  # fmt: skip
+
+
+def spaced(argv, flag, text):
+    """``argv`` with ``flag=text`` written as the two tokens ``flag text``."""
+    i = argv.index(f"{flag}={text}")
+    return argv[:i] + [flag, text] + argv[i + 1 :]
+
+
+def test_every_numeric_flag_has_a_site():
+    assert set(NUMERIC_FLAG_SITES.values()) == set(_FLAG_RULES)
+
+
+@pytest.mark.parametrize("site", NUMERIC_FLAG_SITES)
+def test_flag_value_after_a_space_meets_the_flag_rule(tmp_path, capsys, site):
+    # argparse takes "-1_0" for an option, not a value: it used to exit 2 with its
+    # usage and "expected one argument" instead of the quantity's message
+    argv, message = TEXT_SITES[site]
+    attached = argv(tmp_path, "-1_0")
+    for args in (attached, spaced(attached, NUMERIC_FLAG_SITES[site], "-1_0")):
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message.format('-1_0')}\n"
+
+
+def test_negative_label_in_e_notation_after_a_space(tmp_path):
+    # --label -1e-3 used to exit 2 in argparse; its rule allows every finite number
+    written = []
+    for name in ("attached", "spaced"):
+        (tmp_path / name).mkdir()
+        argv = closedform(tmp_path / name, "--label", "-1e-3")
+        assert main(argv if name == "attached" else spaced(argv, "--label", "-1e-3")) == 0
+        written.append((tmp_path / name / "curve.csv").read_bytes())
     assert written[0] == written[1]
 
 

@@ -18,7 +18,8 @@ from fdvar import (
     interpolant_sobolev_norm,
     sphere_area,
 )
-from fdvar.critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, _pair_term, _radial_cutoff
+from fdvar.critical import WEIGHT_BRACKET, WEIGHT_HOMOGENEOUS, _homogeneous_pair_terms, _pair_term
+from fdvar.critical import _radial_cutoff
 from fdvar.subcritical import _grid_norm
 
 PLANE_DATA = Dataset(
@@ -240,6 +241,100 @@ def test_norms_finite_positive_or_quadrature_error(d, weight, alpha, sigma):
             except QuadratureError:
                 continue
             assert math.isfinite(value) and value > 0
+
+
+def _panel_route_norm(interp, alpha):
+    # interpolant_sobolev_norm's homogeneous sum with every pair term by the panel rule
+    X, g, d = interp.data.X, interp.coefficients, interp.data.d
+    distances = np.sqrt(np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2))
+    keys, inverse = np.unique(np.round(distances, 12), return_inverse=True)
+    terms = np.array([_pair_term(d, alpha, interp.sigma, float(k), WEIGHT_HOMOGENEOUS) for k in keys])
+    return float(g @ terms[inverse].reshape(distances.shape) @ g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    alpha=st.floats(0.05, 6.0),
+    sigma=st.floats(1e-3, 3.0),
+    distance=st.floats(1e-6, 5.0),
+)
+@example(d=1, alpha=5.496174696481565, sigma=1e-3, distance=5.0)
+def test_homogeneous_closed_form_matches_panel_rule(d, alpha, sigma, distance):
+    # The closed form is within 8.7e-15 * T(0) of 40-digit mpmath over this box.  The
+    # bound is the panel rule's own error: at most 2.0e-13 * T(0) over some 5000 draws,
+    # the worst at d = 1, sigma 1e-3, distance 5 (the example), and 8.2e-14 at distance 0.
+    norm, term = _homogeneous_pair_terms(d, alpha, sigma, [0.0, distance])
+    assert norm == gaussian_homogeneous_norm(d, alpha, sigma)
+    assert abs(term - _pair_term(d, alpha, sigma, distance, WEIGHT_HOMOGENEOUS)) <= 4e-13 * norm
+
+
+@pytest.mark.parametrize(
+    "d,alpha,sigma,distance,hyp1f1",  # 1F1(k; d/2; -distance^2 / (4 sigma^2)), mpmath at 40 digits
+    [
+        (2, 1.0, 0.025, 0.15, -0.014956820349629262),
+        (1, 5.9, 0.5, 1.39, 0.05597227435555137),
+        (3, 6.0, 0.3, 0.5, -0.014282687597681654),
+        (1, 0.5, 1e-3, 0.01, -0.033664734603416073),
+    ],
+)
+def test_homogeneous_closed_form_matches_mpmath(d, alpha, sigma, distance, hyp1f1):
+    # 8.7e-15 is the worst gap to mpmath over the domain alpha in (0, 6]
+    norm = gaussian_homogeneous_norm(d, alpha, sigma)
+    term = _homogeneous_pair_terms(d, alpha, sigma, [distance])[0]
+    assert abs(term / norm - hyp1f1) <= 8.7e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.9e8, -1.5])
+def test_closed_form_term_outside_its_bound_comes_from_the_panel_rule(monkeypatch, bad):
+    # |T(s)| <= T(0) holds for every true term; scipy breaks it at large k (alpha 256, 819)
+    keys = np.array([0.0, 0.2, 0.7, 1.3])
+    good = special.hyp1f1(1.5, 1.0, -(keys / 0.5) ** 2)
+    monkeypatch.setattr("fdvar.critical.hyp1f1", lambda a, b, z: np.where(keys == 0.7, bad, good))
+    terms = _homogeneous_pair_terms(2, 1.0, 0.25, keys)
+    assert terms[2] == _pair_term(2, 1.0, 0.25, 0.7, WEIGHT_HOMOGENEOUS)
+    kept = [0, 1, 3]
+    assert np.array_equal(terms[kept], gaussian_homogeneous_norm(2, 1.0, 0.25) * good[kept])
+
+
+@pytest.mark.parametrize(
+    "d,alpha,sigma",
+    [
+        (2, 6.025, 0.3),  # just past the domain, where scipy's 1F1 is off by up to 4.5e-13
+        (1, 256.0, 0.513),  # scipy's 1F1 is nan at the distance 1
+        (1, 819.0, 1.0),  # scipy's 1F1 is 2.90e8 at the distance 1; the value is 0.157
+    ],
+)
+def test_past_the_closed_form_domain_norm_is_the_panel_route(d, alpha, sigma):
+    X = np.zeros((2, d))
+    X[1, 0] = 1.0 if d == 1 else 0.6
+    interp = build_interpolant(Dataset(X=X, Y=[1.0, 0.5]), sigma)
+    assert interpolant_sobolev_norm(interp, alpha, weight=WEIGHT_HOMOGENEOUS) == _panel_route_norm(
+        interp, alpha
+    )
+
+
+def test_at_the_closed_form_domain_edge_norm_matches_the_panel_route():
+    interp = build_interpolant(Dataset(X=[[0.0, 0.0], [0.6, 0.0]], Y=[1.0, 0.5]), 0.3)
+    closed = interpolant_sobolev_norm(interp, 6.0, weight=WEIGHT_HOMOGENEOUS)
+    assert closed != _panel_route_norm(interp, 6.0)  # alpha 6 still takes the closed form
+    assert abs(closed / _panel_route_norm(interp, 6.0) - 1.0) <= 1e-14
+
+
+def test_homogeneous_norm_on_the_diagnostics_plane_matches_the_panel_route():
+    # 48 points in [-1, 1]^2 at least 0.15 apart, as in the benchmark's diagnostics
+    # workload: 1129 distinct distances at alpha 1 and sigma 0.025
+    rng = np.random.default_rng(3)
+    points = []
+    while len(points) < 48:
+        x = rng.uniform(-1.0, 1.0, size=2)
+        if all(np.linalg.norm(x - q) > 0.15 for q in points):
+            points.append(x)
+    X = np.array(points)
+    Y = np.sin(2.0 * X[:, 0]) + 0.5 * np.cos(3.0 * X.sum(axis=1))
+    interp = build_interpolant(Dataset(X=X, Y=Y), 0.025)
+    norm = interpolant_sobolev_norm(interp, 1.0, weight=WEIGHT_HOMOGENEOUS)
+    assert abs(norm / _panel_route_norm(interp, 1.0) - 1.0) <= 1e-14
 
 
 def test_interpolant_norm_overflow_from_large_labels():
